@@ -32,10 +32,10 @@ func BenchmarkAblationFlowcellSize(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cluster.New(cluster.Config{
-					Topology:      Testbed(),
-					Scheme:        cluster.Presto,
-					Seed:          uint64(i + 1),
-					FlowcellBytes: kb << 10,
+					Topology:     Testbed(),
+					Scheme:       cluster.Presto,
+					Seed:         uint64(i + 1),
+					SchemeParams: map[string]string{"cell": fmt.Sprint(kb << 10)},
 				})
 				el := workload.Stride(c, 8)
 				c.Eng.Run(20 * sim.Millisecond)

@@ -101,16 +101,8 @@ func CampaignSpec(sel string, opt Options) (*campaign.Spec, error) {
 			return nil, fmt.Errorf("empty experiment selection %q", sel)
 		}
 	}
-	spec := &campaign.Spec{
-		Name: "experiments/" + strings.Join(ids, ","),
-		// Workload knobs are folded into the spec hash so golden
-		// envelopes detect runs taken with different windows.
-		Params: map[string]string{
-			"duration":      opt.Duration.String(),
-			"warmup":        opt.Warmup.String(),
-			"mice_interval": opt.MiceInterval.String(),
-		},
-	}
+	spec := &campaign.Spec{Name: "experiments/" + strings.Join(ids, ","), Params: windowParams(opt)}
+	spec.Params["mice_interval"] = opt.MiceInterval.String()
 	for _, id := range ids {
 		for _, b := range campaignBuilders {
 			if b.id == id {
@@ -121,24 +113,15 @@ func CampaignSpec(sel string, opt Options) (*campaign.Spec, error) {
 	return spec, nil
 }
 
+// windowParams records the run windows in a spec's identity so golden
+// envelopes detect runs taken with different windows.
+func windowParams(opt Options) map[string]string {
+	return map[string]string{"duration": opt.Duration.String(), "warmup": opt.Warmup.String()}
+}
+
 // RunCampaign executes a spec — the facade over internal/campaign.
 func RunCampaign(spec *campaign.Spec) (*campaign.Report, error) {
 	return campaign.Run(spec)
-}
-
-// WorkloadCell builds a single campaign cell running one system ×
-// workload on the testbed — cmd/prestosim's seed-replication unit.
-func WorkloadCell(sys System, kind WorkloadKind, opt Options) campaign.Cell {
-	return campaign.Cell{
-		Experiment: "workload",
-		ID:         fmt.Sprintf("workload/wl=%v/sys=%v", kind, sys),
-		Run: func(seed uint64) (campaign.Result, error) {
-			o := opt
-			o.Seed = seed
-			r := RunWorkload(sys, kind, o)
-			return loadCellResult(r), nil
-		},
-	}
 }
 
 // addDistStats folds a distribution's headline statistics into v under
@@ -352,7 +335,10 @@ func workloadCellFor(exp, id string, sys System, kind WorkloadKind, opt Options)
 		Experiment: exp,
 		ID:         id,
 		Run: func(seed uint64) (campaign.Result, error) {
-			return loadCellResult(RunWorkload(sys, kind, seeded(opt, seed))), nil
+			r := RunWorkload(sys, kind, seeded(opt, seed))
+			res := loadCellResult(r)
+			res.Detail = RunDetail{System: sys, Workload: kind.String(), Load: r}
+			return res, nil
 		},
 	}
 }
@@ -502,7 +488,7 @@ func ablationCells(opt Options) []campaign.Cell {
 	for _, kb := range []int{16, 32, 64, 128, 256} {
 		kb := kb
 		add(fmt.Sprintf("ablations/flowcell_kb=%d", kb), func(seed uint64) (campaign.Result, error) {
-			g, _ := ablationStride(seed, opt, func(cfg *cluster.Config) { cfg.FlowcellBytes = kb << 10 })
+			g, _ := ablationStride(seed, opt, func(cfg *cluster.Config) { cfg.SchemeParams = map[string]string{"cell": fmt.Sprint(kb << 10)} })
 			return campaign.Result{Metrics: campaign.Values{"tput_gbps": g}}, nil
 		})
 	}
@@ -560,25 +546,32 @@ func ablationCells(opt Options) []campaign.Cell {
 // exactly that in golden gates), so the knob only changes wall-clock
 // time.
 func podtrafficCells(opt Options) []campaign.Cell {
-	const pods, hostsPerLeaf = 4, 2
 	var cells []campaign.Cell
 	for _, sys := range []System{SysECMP, SysPresto} {
-		sys := sys
-		cells = append(cells, campaign.Cell{
-			Experiment: "podtraffic",
-			ID:         fmt.Sprintf("podtraffic/pods=%d/sys=%v", pods, sys),
-			Run: func(seed uint64) (campaign.Result, error) {
-				r := RunPodTraffic(sys, pods, hostsPerLeaf, seeded(opt, seed))
-				return campaign.Result{Metrics: campaign.Values{
+		cells = append(cells, podtrafficCell(sys, defaultPods, defaultHostsPerLeaf, opt))
+	}
+	return cells
+}
+
+// podtrafficCell runs RunPodTraffic at one (shape, system) point.
+func podtrafficCell(sys System, pods, hostsPerLeaf int, opt Options) campaign.Cell {
+	return campaign.Cell{
+		Experiment: "podtraffic",
+		ID:         fmt.Sprintf("podtraffic/pods=%d/sys=%v", pods, sys),
+		Run: func(seed uint64) (campaign.Result, error) {
+			r := RunPodTraffic(sys, pods, hostsPerLeaf, seeded(opt, seed))
+			load := LoadResult{System: sys, Seed: r.Seed, MeanTput: r.MeanTput, Fairness: r.Fairness, LossRate: r.LossRate}
+			return campaign.Result{
+				Metrics: campaign.Values{
 					"tput_gbps": r.MeanTput,
 					"fairness":  r.Fairness,
 					"loss_pct":  r.LossRate * 100,
 					"events":    float64(r.Events),
-				}}, nil
-			},
-		})
+				},
+				Detail: RunDetail{System: sys, Workload: "podtraffic", Load: load, Pod: &r},
+			}, nil
+		},
 	}
-	return cells
 }
 
 // ExperimentsInReport lists the distinct experiment IDs present in a

@@ -25,19 +25,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
 	"presto"
+	"presto/cmd/internal/cli"
 	"presto/internal/campaign"
 	"presto/internal/metrics"
-	"presto/internal/sim"
-	"presto/internal/telemetry"
 	wspec "presto/internal/workload/spec"
 )
 
@@ -65,17 +61,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		gatePath = fs.String("gate", "", "golden envelope file to compare against (regression gate)")
 		update   = fs.Bool("update", false, "with -gate: regenerate the golden file from this run instead of checking")
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
-		workload = fs.String("workload", "", "run a declarative workload spec (preset name or spec.json path) across the §4 system lineup instead of -run")
+		workload = fs.String("workload", "", "sweep one workload (stride | shuffle | random | bijection | podtraffic, a workload-spec preset, or a spec.json path) across the §4 system lineup instead of -run")
 		schemeF  = fs.String("scheme", "", "comma-separated scheme specs (registry name, optionally name:k=v,...); restricts -run scheme-matrix or replaces the -workload system lineup")
 		wlCheck  = fs.String("workload-check", "", "validate workload specs (comma-separated preset names or spec.json paths) and exit")
-
-		tracePath  = fs.String("trace", "", "write a Chrome trace-event file covering every run (one process per run)")
-		eventsPath = fs.String("events", "", "write the raw event log as JSON Lines")
-		snapPath   = fs.String("snapshot", "", "write the final telemetry snapshot JSON")
-		verbose    = fs.Bool("v", false, "print the telemetry snapshot summary to stderr after all runs")
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile")
+		obs      cli.Observe
 	)
+	obs.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -106,91 +97,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail("cpuprofile", err)
-		}
-		defer f.Close() //prestolint:allow errdrop -- profile file is auxiliary diagnostics; StopCPUProfile already flushed before this close runs
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail("cpuprofile", err)
-		}
-		defer pprof.StopCPUProfile()
+	sc := presto.Scenario{
+		Experiments: *runFlag,
+		Workload:    *workload,
+		Seed:        *seed,
+		Seeds:       *seeds,
+		Parallelism: *parallel,
+		CellTimeout: *timeout,
+		Duration:    *duration,
+		Warmup:      *warmup,
+		Shards:      *shards,
+		Telemetry:   obs.Registry(),
+		Progress:    stderr,
 	}
-
-	var registry *telemetry.Registry
-	if *tracePath != "" || *eventsPath != "" || *snapPath != "" || *verbose {
-		var tr *telemetry.Tracer
-		if *tracePath != "" || *eventsPath != "" {
-			tr = telemetry.NewTracer()
-		}
-		registry = telemetry.NewRegistry(tr)
+	if *workload != "" {
+		sc.Experiments = "" // -workload replaces the -run selection
 	}
-
-	opt := presto.Options{
-		Duration: sim.FromDuration(*duration),
-		Warmup:   sim.FromDuration(*warmup),
-		Shards:   *shards,
-	}
-	// Per-run component probes and event traces share one registry and
-	// are only deterministic when the runs execute serially; at higher
-	// parallelism the registry still collects campaign-level probes.
-	if registry != nil {
-		if *parallel == 1 {
-			opt.Telemetry = registry
-		} else {
-			fmt.Fprintln(stderr, "note: per-run telemetry probes need -parallel 1; collecting campaign-level telemetry only")
+	for _, s := range strings.Split(*schemeF, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			sc.Schemes = append(sc.Schemes, s)
 		}
 	}
-
-	var schemes []string
-	if *schemeF != "" {
-		for _, s := range strings.Split(*schemeF, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				schemes = append(schemes, s)
-			}
-		}
+	spec, err := sc.Campaign()
+	if err != nil {
+		return fail("spec", err)
 	}
-
-	var spec *campaign.Spec
-	switch {
-	case *workload != "":
-		ws, err := wspec.Resolve(*workload)
-		if err != nil {
-			return fail("workload", err)
-		}
-		var systems []presto.System
-		for _, s := range schemes {
-			sys, err := presto.SystemFor(s)
-			if err != nil {
-				return fail("scheme", err)
-			}
-			systems = append(systems, sys)
-		}
-		spec = presto.SpecWorkloadCampaign(ws, systems, opt)
-	case len(schemes) > 0:
-		if *runFlag != "scheme-matrix" {
-			return fail("scheme", fmt.Errorf("-scheme needs -workload or -run scheme-matrix (registered schemes: %s)", strings.Join(presto.SchemeNames(), ", ")))
-		}
-		var err error
-		spec, err = presto.SchemeMatrixSpec(schemes, opt)
-		if err != nil {
-			return fail("scheme", err)
-		}
-	default:
-		var err error
-		spec, err = presto.CampaignSpec(*runFlag, opt)
-		if err != nil {
-			return fail("spec", err)
-		}
-	}
-	spec.Seeds = campaign.Seeds(*seed, *seeds)
-	spec.Parallelism = *parallel
-	spec.CellTimeout = *timeout
-	spec.Progress = stderr
-	spec.Telemetry = registry
-
-	report, err := presto.RunCampaign(spec)
+	var report *campaign.Report
+	err = obs.Profile(func() (err error) {
+		report, err = presto.RunCampaign(spec)
+		return err
+	})
 	if err != nil {
 		return fail("campaign", err)
 	}
@@ -216,24 +152,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *outDir != "" {
-		if err := report.WriteArtifacts(*outDir, gitDescribe()); err != nil {
+		if err := report.WriteArtifacts(*outDir, cli.GitDescribe()); err != nil {
 			return fail("artifacts", err)
 		}
 		fmt.Fprintf(stderr, "artifacts written to %s (report.json, report.csv, manifest.json)\n", *outDir)
 	}
-	if err := exportTelemetry(registry, *tracePath, *eventsPath, *snapPath, *verbose, stderr); err != nil {
+	if err := obs.Export(sc.Telemetry, stderr); err != nil {
 		return fail("telemetry", err)
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return fail("memprofile", err)
-		}
-		defer f.Close() //prestolint:allow errdrop -- profile file is auxiliary diagnostics; WriteHeapProfile's error is already checked
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return fail("memprofile", err)
-		}
 	}
 
 	code := 0
@@ -275,16 +200,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// gitDescribe stamps the manifest with the repository state; empty
-// outside a git checkout.
-func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
 // writeCDFs dumps every cell's merged sample distributions as
 // <dir>/<cell>_<dist>.csv ("/" and "=" sanitized for filenames).
 func writeCDFs(dir string, r *campaign.Report) error {
@@ -311,35 +226,6 @@ func writeCDFs(dir string, r *campaign.Report) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// exportTelemetry writes the registry's outputs once the campaign has
-// finished; the -v summary goes to stderr with the other diagnostics.
-func exportTelemetry(registry *telemetry.Registry, tracePath, eventsPath, snapPath string, verbose bool, stderr io.Writer) error {
-	if registry == nil {
-		return nil
-	}
-	tr := registry.Tracer()
-	if tracePath != "" {
-		if err := telemetry.WriteFile(tracePath, tr.WriteChromeTrace); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
-	if eventsPath != "" {
-		if err := telemetry.WriteFile(eventsPath, tr.WriteJSONL); err != nil {
-			return fmt.Errorf("events: %w", err)
-		}
-	}
-	snap := registry.Snapshot(0)
-	if snapPath != "" {
-		if err := telemetry.WriteFile(snapPath, snap.WriteJSON); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	if verbose {
-		fmt.Fprint(stderr, snap.Summary())
 	}
 	return nil
 }

@@ -154,14 +154,31 @@ func TestListPrintsExperiments(t *testing.T) {
 	}
 }
 
-// TestUnknownExperimentIsUsageError checks the exit-code contract.
+// TestUnknownExperimentIsUsageError checks the exit-code contract: a
+// spec the runs cannot honor fails before any cell runs, naming what
+// is wrong.
 func TestUnknownExperimentIsUsageError(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-run", "fig99"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "fig99") {
-		t.Errorf("expected the unknown ID in the error, got:\n%s", stderr.String())
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-run", "fig99"}, []string{"fig99"}},
+		// Per-run telemetry cannot follow a sharded engine.
+		{[]string{"-run", "podtraffic", "-shards", "2", "-parallel", "1", "-trace", trace}, []string{"-shards", "-trace"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Fatalf("%v: exit code = %d, want 2", tc.args, code)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr.String(), w) {
+				t.Errorf("%v: expected %q in the error, got:\n%s", tc.args, w, stderr.String())
+			}
+		}
+		if strings.Contains(stderr.String(), "[campaign]") {
+			t.Errorf("%v: cells ran before the usage error:\n%s", tc.args, stderr.String())
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,7 +27,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strings"
 	"sync"
@@ -34,10 +34,9 @@ import (
 	"time"
 
 	"presto"
+	"presto/cmd/internal/cli"
 	"presto/internal/campaign"
 	"presto/internal/server"
-	"presto/internal/sim"
-	wspec "presto/internal/workload/spec"
 )
 
 func main() {
@@ -89,7 +88,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 		Workers:        *workers,
 		ArtifactTTL:    *ttl,
 		RequestTimeout: *reqTimeout,
-		GitDescribe:    gitDescribe(),
+		GitDescribe:    cli.GitDescribe(),
 		Logf:           jobLogf,
 	})
 	if err != nil {
@@ -134,88 +133,39 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 	return 0
 }
 
-// specBuilder maps a JobRequest onto the same campaign spec
-// cmd/experiments builds for identical flags, so server-side runs are
-// byte-identical to CLI runs (the report carries no timing and result
-// ordering is spec-determined, not scheduling-determined). A request
-// carrying a workload spec (inline object, preset name, or spec path)
-// sweeps it across the system lineup exactly like `experiments
-// -workload`.
+// specBuilder maps a JobRequest onto a presto.Scenario — the same
+// one cmd/experiments builds for identical flags — so server-side runs
+// are byte-identical to CLI runs (the report carries no timing and
+// result ordering is spec-determined, not scheduling-determined). The
+// request's workload is a quoted name or path, or an inline spec
+// object; the server wires its own progress and telemetry.
 func specBuilder(defaultCellTimeout time.Duration) func(server.JobRequest) (*campaign.Spec, error) {
 	return func(req server.JobRequest) (*campaign.Spec, error) {
-		hasWorkload := len(req.Workload) > 0
-		if req.Experiments == "" && !hasWorkload {
-			return nil, fmt.Errorf(`missing "experiments" (e.g. "fig7" or "all") or "workload" (spec object, preset name, or spec path)`)
+		var workload string
+		if json.Unmarshal(req.Workload, &workload) != nil {
+			workload = string(req.Workload)
 		}
-		if req.Experiments != "" && hasWorkload {
-			return nil, fmt.Errorf(`"experiments" and "workload" are mutually exclusive`)
+		sc := presto.Scenario{
+			Experiments: req.Experiments,
+			Workload:    workload,
+			Seed:        req.Seed,
+			Seeds:       req.Seeds,
+			Parallelism: req.Parallelism,
+			CellTimeout: time.Duration(req.CellTimeout),
+			Duration:    time.Duration(req.Duration),
+			Warmup:      time.Duration(req.Warmup),
 		}
-		opt := presto.Options{
-			Duration: sim.FromDuration(time.Duration(req.Duration)),
-			Warmup:   sim.FromDuration(time.Duration(req.Warmup)),
+		if sc.Seed == 0 {
+			sc.Seed = 1
 		}
-		var schemes []string
+		if sc.CellTimeout <= 0 {
+			sc.CellTimeout = defaultCellTimeout
+		}
 		for _, s := range strings.Split(req.Scheme, ",") {
 			if s = strings.TrimSpace(s); s != "" {
-				schemes = append(schemes, s)
+				sc.Schemes = append(sc.Schemes, s)
 			}
 		}
-		var spec *campaign.Spec
-		switch {
-		case hasWorkload:
-			ws, err := wspec.ResolveJSON(req.Workload)
-			if err != nil {
-				return nil, fmt.Errorf("workload: %w", err)
-			}
-			var systems []presto.System
-			for _, s := range schemes {
-				sys, err := presto.SystemFor(s)
-				if err != nil {
-					return nil, fmt.Errorf("scheme: %w", err)
-				}
-				systems = append(systems, sys)
-			}
-			spec = presto.SpecWorkloadCampaign(ws, systems, opt)
-		case len(schemes) > 0:
-			if req.Experiments != "scheme-matrix" {
-				return nil, fmt.Errorf(`"scheme" needs "workload" or "experiments": "scheme-matrix"`)
-			}
-			var err error
-			spec, err = presto.SchemeMatrixSpec(schemes, opt)
-			if err != nil {
-				return nil, fmt.Errorf("scheme: %w", err)
-			}
-		default:
-			var err error
-			spec, err = presto.CampaignSpec(req.Experiments, opt)
-			if err != nil {
-				return nil, err
-			}
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		nseeds := req.Seeds
-		if nseeds <= 0 {
-			nseeds = 1
-		}
-		spec.Seeds = campaign.Seeds(seed, nseeds)
-		spec.Parallelism = req.Parallelism
-		spec.CellTimeout = time.Duration(req.CellTimeout)
-		if spec.CellTimeout <= 0 {
-			spec.CellTimeout = defaultCellTimeout
-		}
-		return spec, nil
+		return sc.Campaign()
 	}
-}
-
-// gitDescribe stamps job manifests with the repository state; empty
-// outside a git checkout (mirrors cmd/experiments).
-func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }

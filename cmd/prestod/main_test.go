@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"presto/internal/campaign"
 	"presto/internal/server"
 	"presto/internal/sim"
+	wspec "presto/internal/workload/spec"
 )
 
 // TestServerRunMatchesCLIRun is the headline acceptance check: a real
@@ -113,6 +115,28 @@ func TestSpecBuilderDefaults(t *testing.T) {
 	}
 	if _, err := build(server.JobRequest{Experiments: "nosuch"}); err == nil {
 		t.Error("unknown experiment accepted, want error")
+	}
+	// The workload wire forms: a quoted name or an inline spec object
+	// sweeps the §4 lineup; anything else is rejected.
+	preset, err := wspec.Preset("mice-heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range []string{`"mice-heavy"`, string(preset.Canonical()), `"stride"`} {
+		spec, err := build(server.JobRequest{Workload: json.RawMessage(raw)})
+		if err != nil {
+			t.Errorf("workload %.40s: %v", raw, err)
+		} else if len(spec.Cells) != 4 {
+			t.Errorf("workload %.40s: %d cells, want the 4-system lineup", raw, len(spec.Cells))
+		}
+	}
+	for _, req := range []server.JobRequest{
+		{Workload: json.RawMessage(`42`)},
+		{Experiments: "fig5", Workload: json.RawMessage(`"mice-heavy"`)},
+	} {
+		if _, err := build(req); err == nil {
+			t.Errorf("request %+v accepted, want error", req)
+		}
 	}
 }
 

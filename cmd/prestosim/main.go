@@ -1,20 +1,24 @@
 // Command prestosim runs one load-balancing system against one
-// workload on the emulated testbed and prints the measured metrics —
-// a quick way to poke at the reproduction:
+// workload and prints the measured metrics — a quick way to poke at
+// the reproduction:
 //
 //	prestosim -system presto -workload stride -duration 200ms
 //	prestosim -system ecmp -workload bijection -seed 7
 //	prestosim -system presto -workload stride -seeds 5   # mean ±stddev over 5 seeds
 //	prestosim -system presto -workload mice-heavy        # declarative preset
 //	prestosim -system ecmp -workload examples/specs/incast32.json
+//	prestosim -workload podtraffic -pods 8 -shards 4     # pod-scale Clos, sharded engine
 //
 // -workload accepts the built-in patterns (stride, shuffle, random,
-// bijection), a named workload-spec preset (elephants, mice-heavy,
-// incast32, trace), or a path to a presto-workload/1 spec JSON file.
+// bijection), podtraffic, a named workload-spec preset (elephants,
+// mice-heavy, incast32, trace), or a path to a presto-workload/1 spec
+// JSON file.
 //
-// With -seeds N > 1 the run is replicated over seeds seed..seed+N-1 on
-// the campaign worker pool (-parallel workers) and every metric is
-// reported as a mean/stddev/min–max envelope.
+// A run is a one-cell campaign (presto.Scenario), the same path
+// cmd/experiments and prestod take. With -seeds N > 1 the cell is
+// replicated over seeds seed..seed+N-1 on the campaign worker pool
+// (-parallel workers) and every metric is reported as a
+// mean/stddev/min–max envelope.
 //
 // Observability flags: -trace writes a Chrome trace-event file (open
 // in Perfetto / chrome://tracing), -events a JSON Lines event log,
@@ -28,18 +32,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
-	"strings"
 	"time"
 
 	"presto"
+	"presto/cmd/internal/cli"
 	"presto/internal/campaign"
-	"presto/internal/scheme"
-	"presto/internal/sim"
-	"presto/internal/telemetry"
-	wspec "presto/internal/workload/spec"
 )
 
 func main() {
@@ -52,24 +50,20 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("prestosim", flag.ContinueOnError)
 	var (
-		system     = fs.String("system", "presto", "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or any scheme spec")
-		schemeF    = fs.String("scheme", "", "scheme registry spec, name or name:k=v,... (e.g. diffflow:threshold=512KB); overrides -system")
-		workload   = fs.String("workload", "stride", "stride | shuffle | random | bijection | podtraffic, a workload-spec preset, or a spec.json path")
-		shards     = fs.Int("shards", 1, "per-pod engine shards for -workload podtraffic; results are bit-identical to serial, 1 = serial")
-		pods       = fs.Int("pods", 4, "pod count for -workload podtraffic (2 aggs, 2 leaves per pod)")
-		hostsLeaf  = fs.Int("hosts-per-leaf", 2, "hosts per leaf for -workload podtraffic")
-		duration   = fs.Duration("duration", 200*time.Millisecond, "measurement window (simulated)")
-		warmup     = fs.Duration("warmup", 50*time.Millisecond, "warmup before measurement (simulated)")
-		seed       = fs.Uint64("seed", 1, "random seed (base seed with -seeds > 1)")
-		seeds      = fs.Int("seeds", 1, "seed replicas; > 1 reports mean ±stddev envelopes per metric")
-		parallel   = fs.Int("parallel", 0, "worker pool size for -seeds > 1; 0 = GOMAXPROCS")
-		tracePath  = fs.String("trace", "", "write Chrome trace-event JSON to this file")
-		eventsPath = fs.String("events", "", "write the raw event log as JSON Lines to this file")
-		snapPath   = fs.String("snapshot", "", "write the telemetry snapshot JSON to this file")
-		verbose    = fs.Bool("v", false, "print the telemetry snapshot summary table")
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file")
+		system    = fs.String("system", "presto", "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or any scheme spec")
+		schemeF   = fs.String("scheme", "", "scheme registry spec, name or name:k=v,... (e.g. diffflow:threshold=512KB); overrides -system")
+		workload  = fs.String("workload", "stride", "stride | shuffle | random | bijection | podtraffic, a workload-spec preset, or a spec.json path")
+		shards    = fs.Int("shards", 1, "per-pod engine shards for -workload podtraffic; results are bit-identical to serial, 1 = serial")
+		pods      = fs.Int("pods", 4, "pod count for -workload podtraffic (2 aggs, 2 leaves per pod)")
+		hostsLeaf = fs.Int("hosts-per-leaf", 2, "hosts per leaf for -workload podtraffic")
+		duration  = fs.Duration("duration", 200*time.Millisecond, "measurement window (simulated)")
+		warmup    = fs.Duration("warmup", 50*time.Millisecond, "warmup before measurement (simulated)")
+		seed      = fs.Uint64("seed", 1, "random seed (base seed with -seeds > 1)")
+		seeds     = fs.Int("seeds", 1, "seed replicas; > 1 reports mean ±stddev envelopes per metric")
+		parallel  = fs.Int("parallel", 0, "worker pool size for -seeds > 1; 0 = GOMAXPROCS")
+		obs       cli.Observe
 	)
+	obs.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,271 +72,94 @@ func run(args []string, stdout io.Writer) error {
 	if *schemeF != "" {
 		spec = *schemeF
 	}
-	sys, err := parseSystem(spec)
+	reg := obs.Registry()
+	cs, err := presto.Scenario{
+		Workload:     *workload,
+		Schemes:      []string{spec},
+		Seed:         *seed,
+		Seeds:        *seeds,
+		Parallelism:  *parallel,
+		Duration:     *duration,
+		Warmup:       *warmup,
+		Shards:       *shards,
+		Pods:         *pods,
+		HostsPerLeaf: *hostsLeaf,
+		Telemetry:    reg,
+		Progress:     os.Stderr,
+	}.Campaign()
 	if err != nil {
 		return err
-	}
-	if *workload == "podtraffic" {
-		return runPodTraffic(stdout, sys, *pods, *hostsLeaf, *shards, *seed, *seeds,
-			sim.FromDuration(*warmup), sim.FromDuration(*duration))
-	}
-	kind, ws, err := parseWorkloadOrSpec(*workload)
-	if err != nil {
-		return err
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close() //prestolint:allow errdrop -- profile file is auxiliary diagnostics; StopCPUProfile already flushed before this close runs
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	// Telemetry is wired only when some output wants it; otherwise the
-	// run takes the nil-tracer zero-overhead path.
-	var reg *telemetry.Registry
-	if *tracePath != "" || *eventsPath != "" || *snapPath != "" || *verbose {
-		var tr *telemetry.Tracer
-		if *tracePath != "" || *eventsPath != "" {
-			tr = telemetry.NewTracer()
-		}
-		reg = telemetry.NewRegistry(tr)
-	}
-
-	opt := presto.Options{
-		Seed:      *seed,
-		Duration:  sim.FromDuration(*duration),
-		Warmup:    sim.FromDuration(*warmup),
-		Telemetry: reg,
-	}
-
-	if *seeds > 1 {
-		return runReplicated(stdout, sys, kind, ws, opt, *seed, *seeds, *parallel)
 	}
 
 	start := time.Now()
-	var res presto.LoadResult
-	var clients []wspec.ClientResult
-	if ws != nil {
-		res, clients, err = presto.RunSpecWorkload(sys, ws, opt)
-		if err != nil {
-			return err
-		}
-	} else {
-		res = presto.RunWorkload(sys, kind, opt)
-	}
-	elapsed := time.Since(start)
-
-	fmt.Fprintf(stdout, "system=%v workload=%v seed=%d duration=%v\n", sys, workloadName(kind, ws), *seed, *duration)
-	fmt.Fprintf(stdout, "  elephant throughput: %.2f Gbps/flow (fairness %.3f)\n", res.MeanTput, res.Fairness)
-	fmt.Fprintf(stdout, "  loss rate:           %.4f%%\n", res.LossRate*100)
-	if res.RTT != nil && res.RTT.N() > 0 {
-		fmt.Fprintf(stdout, "  RTT (ms):            p50=%.3f p90=%.3f p99=%.3f p99.9=%.3f (n=%d)\n",
-			res.RTT.Percentile(50), res.RTT.Percentile(90), res.RTT.Percentile(99), res.RTT.Percentile(99.9), res.RTT.N())
-	}
-	if res.FCT != nil && res.FCT.N() > 0 {
-		fmt.Fprintf(stdout, "  mice FCT (ms):       p50=%.3f p90=%.3f p99=%.3f p99.9=%.3f (n=%d, timeouts=%d)\n",
-			res.FCT.Percentile(50), res.FCT.Percentile(90), res.FCT.Percentile(99), res.FCT.Percentile(99.9), res.FCT.N(), res.MiceTimeouts)
-	}
-	for _, cr := range clients {
-		fmt.Fprintf(stdout, "  client %-13s started=%d finished=%d timeouts=%d bytes=%d",
-			cr.ID+":", cr.Started, cr.Finished, cr.Timeouts, cr.BytesMoved)
-		if cr.FCT != nil && cr.FCT.N() > 0 {
-			fmt.Fprintf(stdout, " fct_ms_p50=%.3f fct_ms_p99=%.3f", cr.FCT.Percentile(50), cr.FCT.Percentile(99))
-		}
-		if cr.Tput > 0 {
-			fmt.Fprintf(stdout, " tput_gbps=%.2f", cr.Tput)
-		}
-		fmt.Fprintln(stdout)
-	}
-	fmt.Fprintf(stdout, "  wall time:           %v\n", elapsed.Round(time.Millisecond))
-
-	if err := writeTelemetry(reg, res.Telemetry, *tracePath, *eventsPath, *snapPath); err != nil {
+	var report *campaign.Report
+	err = obs.Profile(func() (err error) {
+		report, err = presto.RunCampaign(cs)
 		return err
-	}
-	if *verbose && res.Telemetry != nil {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, res.Telemetry.Summary())
-	}
-
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close() //prestolint:allow errdrop -- profile file is auxiliary diagnostics; WriteHeapProfile's error is already checked
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runPodTraffic drives the pod-scale cross-pod elephant experiment.
-// The -shards knob partitions the engine per pod; any shard count is
-// bit-identical to serial, so it only trades wall-clock time.
-func runPodTraffic(stdout io.Writer, sys presto.System, pods, hostsPerLeaf, shards int, seed uint64, seeds int, warmup, duration sim.Time) error {
-	if seeds > 1 {
-		return fmt.Errorf("-workload podtraffic runs a single seed; use cmd/experiments -run podtraffic -seeds %d", seeds)
-	}
-	opt := presto.Options{
-		Seed:     seed,
-		Warmup:   warmup,
-		Duration: duration,
-		Shards:   shards,
-	}
-	start := time.Now()
-	res := presto.RunPodTraffic(sys, pods, hostsPerLeaf, opt)
-	elapsed := time.Since(start)
-	fmt.Fprintf(stdout, "system=%v workload=podtraffic pods=%d hosts=%d shards=%d seed=%d duration=%v\n",
-		sys, res.Pods, res.Hosts, res.Shards, seed, duration.AsDuration())
-	fmt.Fprintf(stdout, "  elephant throughput: %.2f Gbps/flow (fairness %.3f)\n", res.MeanTput, res.Fairness)
-	fmt.Fprintf(stdout, "  loss rate:           %.4f%%\n", res.LossRate*100)
-	fmt.Fprintf(stdout, "  delivered packets:   %d\n", res.Delivered)
-	fmt.Fprintf(stdout, "  engine events:       %d\n", res.Events)
-	fmt.Fprintf(stdout, "  wall time:           %v\n", elapsed.Round(time.Millisecond))
-	return nil
-}
-
-// runReplicated executes the system × workload as a one-cell campaign
-// over N seeds and prints per-metric envelopes.
-func runReplicated(stdout io.Writer, sys presto.System, kind presto.WorkloadKind, ws *wspec.Spec, opt presto.Options, seed uint64, seeds, parallel int) error {
-	// Per-run telemetry registries are not safe across concurrent
-	// replicas; the single-seed path keeps full telemetry support.
-	opt.Telemetry = nil
-	cell := presto.WorkloadCell(sys, kind, opt)
-	if ws != nil {
-		cell = presto.SpecWorkloadCell(sys, ws, opt)
-	}
-	spec := &campaign.Spec{
-		Name:        "prestosim",
-		Cells:       []campaign.Cell{cell},
-		Seeds:       campaign.Seeds(seed, seeds),
-		Parallelism: parallel,
-		Progress:    os.Stderr,
-	}
-	report, err := presto.RunCampaign(spec)
+	})
 	if err != nil {
 		return err
 	}
+	elapsed := time.Since(start)
 	if failed := report.FailedReplicas(); len(failed) > 0 {
 		return fmt.Errorf("%d replica(s) failed, first: %s seed=%d: %s", len(failed), failed[0].Cell, failed[0].Seed, failed[0].Err)
 	}
-	res := &report.Cells[0]
-	fmt.Fprintf(stdout, "system=%v workload=%v seeds=%d..%d (n=%d)\n", sys, workloadName(kind, ws), seed, seed+uint64(seeds)-1, seeds)
-	names := make([]string, 0, len(res.Envelopes))
-	for k := range res.Envelopes {
+
+	cell := &report.Cells[0]
+	d := cell.Details()[0].(presto.RunDetail)
+	if *seeds > 1 {
+		printEnvelopes(stdout, d, cell, *seed, *seeds)
+	} else {
+		printRun(stdout, d, *seed, *duration, elapsed)
+	}
+	return obs.Export(reg, stdout)
+}
+
+// printRun prints one run in full.
+func printRun(w io.Writer, d presto.RunDetail, seed uint64, duration, elapsed time.Duration) {
+	res := d.Load
+	fmt.Fprintf(w, "system=%v workload=%s", d.System, d.Workload)
+	if p := d.Pod; p != nil {
+		fmt.Fprintf(w, " pods=%d hosts=%d shards=%d", p.Pods, p.Hosts, p.Shards)
+	}
+	fmt.Fprintf(w, " seed=%d duration=%v\n", seed, duration)
+	fmt.Fprintf(w, "  elephant throughput: %.2f Gbps/flow (fairness %.3f)\n", res.MeanTput, res.Fairness)
+	fmt.Fprintf(w, "  loss rate:           %.4f%%\n", res.LossRate*100)
+	if res.RTT != nil && res.RTT.N() > 0 {
+		fmt.Fprintf(w, "  RTT (ms):            p50=%.3f p90=%.3f p99=%.3f p99.9=%.3f (n=%d)\n",
+			res.RTT.Percentile(50), res.RTT.Percentile(90), res.RTT.Percentile(99), res.RTT.Percentile(99.9), res.RTT.N())
+	}
+	if res.FCT != nil && res.FCT.N() > 0 {
+		fmt.Fprintf(w, "  mice FCT (ms):       p50=%.3f p90=%.3f p99=%.3f p99.9=%.3f (n=%d, timeouts=%d)\n",
+			res.FCT.Percentile(50), res.FCT.Percentile(90), res.FCT.Percentile(99), res.FCT.Percentile(99.9), res.FCT.N(), res.MiceTimeouts)
+	}
+	for _, cr := range d.Clients {
+		fmt.Fprintf(w, "  client %-13s started=%d finished=%d timeouts=%d bytes=%d",
+			cr.ID+":", cr.Started, cr.Finished, cr.Timeouts, cr.BytesMoved)
+		if cr.FCT != nil && cr.FCT.N() > 0 {
+			fmt.Fprintf(w, " fct_ms_p50=%.3f fct_ms_p99=%.3f", cr.FCT.Percentile(50), cr.FCT.Percentile(99))
+		}
+		if cr.Tput > 0 {
+			fmt.Fprintf(w, " tput_gbps=%.2f", cr.Tput)
+		}
+		fmt.Fprintln(w)
+	}
+	if p := d.Pod; p != nil {
+		fmt.Fprintf(w, "  delivered packets:   %d\n", p.Delivered)
+		fmt.Fprintf(w, "  engine events:       %d\n", p.Events)
+	}
+	fmt.Fprintf(w, "  wall time:           %v\n", elapsed.Round(time.Millisecond))
+}
+
+// printEnvelopes prints each metric's envelope over the seed replicas.
+func printEnvelopes(w io.Writer, d presto.RunDetail, cell *campaign.CellResult, seed uint64, seeds int) {
+	fmt.Fprintf(w, "system=%v workload=%s seeds=%d..%d (n=%d)\n", d.System, d.Workload, seed, seed+uint64(seeds)-1, seeds)
+	names := make([]string, 0, len(cell.Envelopes))
+	for k := range cell.Envelopes {
 		names = append(names, k)
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		e := res.Envelopes[k]
-		fmt.Fprintf(stdout, "  %-16s %s\n", k, e.String())
+		fmt.Fprintf(w, "  %-16s %s\n", k, cell.Envelopes[k].String())
 	}
-	return nil
-}
-
-// writeTelemetry exports the tracer and snapshot to the requested
-// files (shared with cmd/experiments' flag handling in spirit).
-func writeTelemetry(reg *telemetry.Registry, snap *telemetry.Snapshot, tracePath, eventsPath, snapPath string) error {
-	tr := reg.Tracer()
-	if tracePath != "" {
-		if err := telemetry.WriteFile(tracePath, tr.WriteChromeTrace); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-	}
-	if eventsPath != "" {
-		if err := telemetry.WriteFile(eventsPath, tr.WriteJSONL); err != nil {
-			return fmt.Errorf("writing events: %w", err)
-		}
-	}
-	if snapPath != "" && snap != nil {
-		if err := telemetry.WriteFile(snapPath, snap.WriteJSON); err != nil {
-			return fmt.Errorf("writing snapshot: %w", err)
-		}
-	}
-	return nil
-}
-
-func parseSystem(s string) (presto.System, error) {
-	switch strings.ToLower(s) {
-	case "ecmp":
-		return presto.SysECMP, nil
-	case "mptcp":
-		return presto.SysMPTCP, nil
-	case "presto":
-		return presto.SysPresto, nil
-	case "optimal":
-		return presto.SysOptimal, nil
-	case "flowlet100":
-		return presto.SysFlowlet100, nil
-	case "flowlet500":
-		return presto.SysFlowlet500, nil
-	case "presto-ecmp", "prestoecmp":
-		return presto.SysPrestoECMP, nil
-	case "per-packet", "perpacket":
-		return presto.SysPerPacket, nil
-	}
-	// Fall back to the scheme registry: any registered scheme (plus
-	// params, e.g. "diffflow:threshold=512KB") is a valid system.
-	sys, err := presto.SystemFor(s)
-	if err == nil {
-		return sys, nil
-	}
-	// A known scheme with bad params gets the registry's own error
-	// (which names the offending key/bound); only an unrecognized
-	// name gets the full lineup listing.
-	name := s
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		name = name[:i]
-	}
-	if _, getErr := scheme.Get(strings.TrimSpace(name)); getErr == nil {
-		return presto.System{}, err
-	}
-	return presto.System{}, fmt.Errorf("unknown system %q (paper systems: ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet; or any scheme spec: %s)",
-		s, strings.Join(scheme.Names(), " | "))
-}
-
-// parseWorkloadOrSpec maps the -workload value onto either a built-in
-// pattern (ws == nil) or a declarative workload spec resolved from a
-// preset name or a spec.json path (ws != nil, kind unused).
-func parseWorkloadOrSpec(s string) (presto.WorkloadKind, *wspec.Spec, error) {
-	if kind, err := parseWorkload(s); err == nil {
-		return kind, nil, nil
-	}
-	ws, err := wspec.Resolve(s)
-	if err != nil {
-		return 0, nil, fmt.Errorf("workload %q is neither a built-in pattern (stride | shuffle | random | bijection) nor a workload spec: %v", s, err)
-	}
-	return 0, ws, nil
-}
-
-// workloadName renders the workload for the result header: the
-// pattern name, or the spec's name plus hash so runs are attributable
-// to an exact workload definition.
-func workloadName(kind presto.WorkloadKind, ws *wspec.Spec) string {
-	if ws != nil {
-		return fmt.Sprintf("%s(spec %s)", ws.Name, ws.Hash())
-	}
-	return fmt.Sprint(kind)
-}
-
-func parseWorkload(s string) (presto.WorkloadKind, error) {
-	switch strings.ToLower(s) {
-	case "stride":
-		return presto.Stride, nil
-	case "shuffle":
-		return presto.Shuffle, nil
-	case "random":
-		return presto.Random, nil
-	case "bijection":
-		return presto.Bijection, nil
-	}
-	return 0, fmt.Errorf("unknown workload %q", s)
 }

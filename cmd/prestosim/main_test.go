@@ -7,28 +7,43 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"presto"
 )
 
+// TestParseSystemAll checks every -system value resolves through the
+// shared resolver to its historical display name.
 func TestParseSystemAll(t *testing.T) {
-	for _, s := range []string{"ecmp", "mptcp", "presto", "optimal", "flowlet100",
-		"flowlet500", "presto-ecmp", "per-packet"} {
-		if _, err := parseSystem(s); err != nil {
-			t.Errorf("parseSystem(%q): %v", s, err)
+	for s, want := range map[string]string{
+		"ecmp": "ECMP", "mptcp": "MPTCP", "presto": "Presto", "optimal": "Optimal",
+		"flowlet100": "Flowlet-100us", "flowlet500": "Flowlet-500us",
+		"presto-ecmp": "Presto+ECMP", "per-packet": "PerPacket",
+	} {
+		sys, err := presto.SystemFor(s)
+		if err != nil {
+			t.Errorf("SystemFor(%q): %v", s, err)
+		} else if sys.String() != want {
+			t.Errorf("SystemFor(%q) = %v, want %s", s, sys, want)
 		}
 	}
-	if _, err := parseSystem("bogus"); err == nil {
-		t.Error("parseSystem accepted bogus system")
+	if _, err := presto.SystemFor("bogus"); err == nil {
+		t.Error("SystemFor accepted bogus system")
 	}
 }
 
+// TestParseWorkloadAll checks every built-in -workload value compiles
+// to a one-cell campaign.
 func TestParseWorkloadAll(t *testing.T) {
-	for _, w := range []string{"stride", "shuffle", "random", "bijection"} {
-		if _, err := parseWorkload(w); err != nil {
-			t.Errorf("parseWorkload(%q): %v", w, err)
+	for _, w := range []string{"stride", "shuffle", "random", "bijection", "podtraffic", "mice-heavy"} {
+		spec, err := presto.Scenario{Workload: w, Schemes: []string{"presto"}}.Campaign()
+		if err != nil {
+			t.Errorf("workload %q: %v", w, err)
+		} else if len(spec.Cells) != 1 {
+			t.Errorf("workload %q: %d cells, want 1", w, len(spec.Cells))
 		}
 	}
-	if _, err := parseWorkload("bogus"); err == nil {
-		t.Error("parseWorkload accepted bogus workload")
+	if _, err := (presto.Scenario{Workload: "bogus"}).Campaign(); err == nil {
+		t.Error("bogus workload accepted")
 	}
 }
 
@@ -150,30 +165,63 @@ func TestRunTraceExport(t *testing.T) {
 }
 
 // TestRunSeedReplicas checks -seeds N prints per-metric envelopes and
-// that replicated output is deterministic across -parallel settings.
+// that replicated output is deterministic across -parallel settings,
+// for a testbed pattern and for the pod-scale workload alike.
 func TestRunSeedReplicas(t *testing.T) {
-	replicated := func(parallel string) string {
+	for _, workload := range [][]string{
+		{"-workload", "stride"},
+		{"-workload", "podtraffic", "-pods", "2", "-hosts-per-leaf", "1"},
+	} {
+		replicated := func(parallel string) string {
+			var out bytes.Buffer
+			err := run(append([]string{
+				"-system", "presto",
+				"-warmup", "5ms", "-duration", "10ms",
+				"-seeds", "3", "-parallel", parallel,
+			}, workload...), &out)
+			if err != nil {
+				t.Fatalf("%v: %v", workload, err)
+			}
+			return out.String()
+		}
+		serial := replicated("1")
+		if !strings.Contains(serial, "seeds=1..3 (n=3)") {
+			t.Fatalf("%v: missing seed range header:\n%s", workload, serial)
+		}
+		for _, metric := range []string{"tput_gbps", "loss_pct", "fairness"} {
+			if !strings.Contains(serial, metric) {
+				t.Errorf("%v: envelope output missing %s:\n%s", workload, metric, serial)
+			}
+		}
+		if got := replicated("4"); got != serial {
+			t.Errorf("%v: -parallel 4 output differs from -parallel 1:\n--- serial ---\n%s--- parallel ---\n%s", workload, serial, got)
+		}
+	}
+}
+
+// TestRunWritesRequestedFiles checks every output file a flag asks
+// for is written, whatever the workload or seed count.
+func TestRunWritesRequestedFiles(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		files []string
+	}{
+		{[]string{"-workload", "podtraffic", "-pods", "2", "-hosts-per-leaf", "1"}, []string{"-cpuprofile", "-memprofile"}},
+		{[]string{"-workload", "stride", "-seeds", "2"}, []string{"-trace", "-snapshot"}},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-warmup", "2ms", "-duration", "5ms"}, tc.args...)
+		for _, f := range tc.files {
+			args = append(args, f, filepath.Join(dir, f[1:]))
+		}
 		var out bytes.Buffer
-		err := run([]string{
-			"-system", "presto", "-workload", "stride",
-			"-warmup", "5ms", "-duration", "10ms",
-			"-seeds", "3", "-parallel", parallel,
-		}, &out)
-		if err != nil {
-			t.Fatal(err)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
 		}
-		return out.String()
-	}
-	serial := replicated("1")
-	if !strings.Contains(serial, "seeds=1..3 (n=3)") {
-		t.Fatalf("missing seed range header:\n%s", serial)
-	}
-	for _, metric := range []string{"tput_gbps", "loss_pct", "fairness"} {
-		if !strings.Contains(serial, metric) {
-			t.Errorf("envelope output missing %s:\n%s", metric, serial)
+		for _, f := range tc.files {
+			if st, err := os.Stat(filepath.Join(dir, f[1:])); err != nil || st.Size() == 0 {
+				t.Errorf("%v: %s file not written (%v)", args, f, err)
+			}
 		}
-	}
-	if got := replicated("4"); got != serial {
-		t.Errorf("-parallel 4 output differs from -parallel 1:\n--- serial ---\n%s--- parallel ---\n%s", serial, got)
 	}
 }

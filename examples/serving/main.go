@@ -19,7 +19,6 @@ import (
 	"presto"
 	"presto/internal/campaign"
 	"presto/internal/server"
-	"presto/internal/sim"
 )
 
 func main() {
@@ -104,22 +103,16 @@ func main() {
 	fmt.Println("results depend on the spec, never on where or how wide it ran.")
 }
 
-// buildSpec maps job requests onto real experiment campaigns — the
-// in-process equivalent of cmd/prestod's builder.
+// buildSpec maps job requests onto real experiment campaigns through
+// presto.Scenario — the in-process equivalent of cmd/prestod's builder.
 func buildSpec(req server.JobRequest) (*campaign.Spec, error) {
-	spec, err := presto.CampaignSpec(req.Experiments, presto.Options{
-		Duration: sim.FromDuration(time.Duration(req.Duration)),
-		Warmup:   sim.FromDuration(time.Duration(req.Warmup)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	seeds := req.Seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
-	spec.Seeds = campaign.Seeds(1, seeds)
-	spec.Parallelism = req.Parallelism
-	spec.CellTimeout = time.Minute
-	return spec, nil
+	return presto.Scenario{
+		Experiments: req.Experiments,
+		Seed:        1,
+		Seeds:       req.Seeds,
+		Parallelism: req.Parallelism,
+		CellTimeout: time.Minute,
+		Duration:    time.Duration(req.Duration),
+		Warmup:      time.Duration(req.Warmup),
+	}.Campaign()
 }

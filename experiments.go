@@ -280,10 +280,10 @@ type FlowletSizeResult struct {
 func RunFlowletSizes(competing int, gap sim.Time, transferBytes int, opt Options) FlowletSizeResult {
 	opt.fill()
 	c := cluster.New(cluster.Config{
-		Topology:   OptimalTopo(2 + competing),
-		Scheme:     cluster.Flowlet,
-		FlowletGap: gap,
-		Seed:       opt.Seed,
+		Topology:     OptimalTopo(2 + competing),
+		Scheme:       cluster.Flowlet,
+		SchemeParams: map[string]string{"gap": gap.AsDuration().String()},
+		Seed:         opt.Seed,
 	})
 	// Background elephants from hosts 2.. to the shared receiver 1.
 	for i := 0; i < competing; i++ {

@@ -32,6 +32,10 @@ type Values map[string]float64
 type Result struct {
 	Metrics Values
 	Dists   map[string]*metrics.Dist
+	// Detail is the replica's full typed outcome, kept in memory for a
+	// front-end that prints one run in full (see CellResult.Details).
+	// It is never serialized: artifacts stay metrics-only.
+	Detail any
 }
 
 // RunFunc executes one replica of a cell. It must be self-contained:

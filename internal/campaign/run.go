@@ -42,7 +42,8 @@ type CellResult struct {
 	// deterministic at any parallelism.
 	Sketches map[string]*metrics.Sketch `json:"sketches,omitempty"`
 
-	dists map[string]*metrics.Dist
+	dists   map[string]*metrics.Dist
+	details []any
 }
 
 // Failed reports whether any replica of the cell failed.
@@ -58,6 +59,10 @@ func (c *CellResult) Failed() bool {
 // Dist returns the named sample distribution merged across the cell's
 // successful replicas in seed order, or nil.
 func (c *CellResult) Dist(name string) *metrics.Dist { return c.dists[name] }
+
+// Details returns each replica's Result.Detail in seed order (nil for
+// a failed replica).
+func (c *CellResult) Details() []any { return c.details }
 
 // DistNames returns the cell's merged distribution names, sorted.
 func (c *CellResult) DistNames() []string {
@@ -263,6 +268,12 @@ dispatch:
 	}
 	for i, c := range spec.Cells {
 		dists := mergeDists(results[i], raw[i])
+		details := make([]any, len(seeds))
+		for si, r := range raw[i] {
+			if results[i][si].Err == "" {
+				details[si] = r.Detail
+			}
+		}
 		rep.Cells[i] = CellResult{
 			Experiment: c.Experiment,
 			ID:         c.ID,
@@ -271,6 +282,7 @@ dispatch:
 			Envelopes:  aggregate(results[i]),
 			Sketches:   sketchDists(dists),
 			dists:      dists,
+			details:    details,
 		}
 	}
 	if progress != nil {

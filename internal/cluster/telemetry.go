@@ -37,7 +37,7 @@ func (c *Cluster) wireTelemetry() {
 	// The monitor only reads data-plane state, so sampling shifts event
 	// sequence numbers without changing simulated outcomes (verified by
 	// the determinism regression test).
-	c.mon = fabric.NewMonitor(c.Net, c.cfg.MonitorInterval, 0)
+	c.mon = fabric.NewMonitor(c.Net, 0, 0)
 	c.mon.Start()
 	reg.Register(prefix+"links", c.mon.TelemetrySnapshot)
 

@@ -45,6 +45,11 @@ import (
 	"presto/internal/telemetry"
 )
 
+// maxRequestBytes bounds a job request body. Requests are a few
+// hundred bytes; an inline workload spec with replayed trace flows is
+// the large case, and 1 MiB holds over ten thousand of them.
+const maxRequestBytes = 1 << 20
+
 // artifactNames are the files a completed campaign serves, in sorted
 // order (what campaign.Report.WriteArtifacts produces).
 var artifactNames = []string{"manifest.json", "report.csv", "report.json"}
@@ -267,9 +272,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "job request exceeds the %d-byte limit", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
 		return
 	}

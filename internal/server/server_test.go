@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -618,6 +619,17 @@ func TestBadRequests(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad spec err = %v, want 400", err)
+	}
+	// An oversized body → 413 naming the limit.
+	huge := `{"experiments":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), strconv.Itoa(maxRequestBytes)) {
+		t.Errorf("oversized body: HTTP %d %s, want 413 naming the %d-byte limit", resp.StatusCode, body, maxRequestBytes)
 	}
 	// Unknown job → 404 everywhere.
 	if _, err := c.Job(ctx(t), "job-999999"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {

@@ -280,24 +280,6 @@ func Resolve(nameOrPath string) (*Spec, error) {
 	return Load(nameOrPath)
 }
 
-// ResolveJSON resolves a JSON value that is either a string (preset
-// name or file path) or an inline spec object — the wire form prestod
-// job requests carry.
-func ResolveJSON(raw []byte) (*Spec, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("workload: empty value")
-	}
-	if trimmed[0] == '"' {
-		var name string
-		if err := json.Unmarshal(trimmed, &name); err != nil {
-			return nil, fmt.Errorf("workload: %w", err)
-		}
-		return Resolve(name)
-	}
-	return Parse(trimmed)
-}
-
 // Canonical returns the spec's canonical JSON encoding (struct field
 // order, sorted map keys) — the bytes Hash fingerprints.
 func (s *Spec) Canonical() []byte {

@@ -244,8 +244,7 @@ func TestHashStability(t *testing.T) {
 	}
 }
 
-// TestResolve pins preset-name vs file-path resolution and the
-// ResolveJSON wire forms.
+// TestResolve pins preset-name vs file-path resolution.
 func TestResolve(t *testing.T) {
 	s, err := Resolve("elephants")
 	if err != nil || s.Name != "elephants" {
@@ -265,21 +264,6 @@ func TestResolve(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 
-	// ResolveJSON: quoted string → preset, object → inline spec.
-	s, err = ResolveJSON([]byte(`"incast32"`))
-	if err != nil || s.Name != "incast32" {
-		t.Fatalf("ResolveJSON(preset) = %v, %v", s, err)
-	}
-	s, err = ResolveJSON(validSpec().Canonical())
-	if err != nil || s.Name != "test" {
-		t.Fatalf("ResolveJSON(inline) = %v, %v", s, err)
-	}
-	if _, err := ResolveJSON([]byte(`  `)); err == nil {
-		t.Fatal("empty workload accepted")
-	}
-	if _, err := ResolveJSON([]byte(`42`)); err == nil {
-		t.Fatal("numeric workload accepted")
-	}
 }
 
 // TestNeedsRemotes pins remote detection for front-end topology setup.

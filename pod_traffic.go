@@ -43,7 +43,7 @@ type PodTrafficResult struct {
 func RunPodTraffic(sys System, pods, hostsPerLeaf int, opt Options) PodTrafficResult {
 	opt.fill()
 	tp := topoFor(sys, func() *topo.Topology { return PodTopo(pods, hostsPerLeaf) })
-	cfg := clusterConfigFor(sys, tp, opt)
+	cfg := sys.ClusterConfig(tp, opt)
 	cfg.Shards = opt.Shards
 	c := cluster.New(cfg)
 

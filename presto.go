@@ -11,6 +11,7 @@
 package presto
 
 import (
+	"fmt"
 	"strings"
 
 	"presto/internal/cluster"
@@ -61,13 +62,40 @@ var (
 	SysPerPacket = System{scheme: "per-packet", display: "PerPacket"}
 )
 
-// SystemFor builds a System from a registry scheme spec
-// ("diffflow", "presto:cell=32KB", …), validating the name and
-// parameters against the registry.
+// paperSystems names the systems of §4/§5 the way the front-ends
+// always have; SystemFor tries them before the registry.
+var paperSystems = map[string]System{
+	"ecmp":        SysECMP,
+	"mptcp":       SysMPTCP,
+	"presto":      SysPresto,
+	"optimal":     SysOptimal,
+	"flowlet100":  SysFlowlet100,
+	"flowlet500":  SysFlowlet500,
+	"presto-ecmp": SysPrestoECMP,
+	"prestoecmp":  SysPrestoECMP,
+	"per-packet":  SysPerPacket,
+	"perpacket":   SysPerPacket,
+}
+
+// SystemFor is the one system-name resolver every front-end uses. A
+// paper system name (ecmp, mptcp, presto, optimal, flowlet100,
+// flowlet500, presto-ecmp, per-packet) yields that historical System;
+// anything else is a registry scheme spec ("diffflow",
+// "presto:cell=32KB", …) validated against the registry.
 func SystemFor(spec string) (System, error) {
+	if sys, ok := paperSystems[strings.ToLower(strings.TrimSpace(spec))]; ok {
+		return sys, nil
+	}
 	name, params, err := scheme.ParseSpec(spec)
 	if err != nil {
-		return System{}, err
+		// A known scheme with bad params keeps the registry's error
+		// (it names the offending key); an unknown name gets the lineup.
+		bare, _, _ := strings.Cut(spec, ":")
+		if _, getErr := scheme.Get(strings.TrimSpace(bare)); getErr == nil {
+			return System{}, err
+		}
+		return System{}, fmt.Errorf("unknown system %q (paper systems: ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet; or any scheme spec: %s)",
+			spec, strings.Join(scheme.Names(), " | "))
 	}
 	canon := scheme.CanonicalSpec(name, params)
 	sys := System{scheme: name}
@@ -128,11 +156,6 @@ type Options struct {
 	MiceResp      int      // app-level ack size (default 100 B)
 	MiceInterval  sim.Time // per-pair spacing (paper: 100 ms; default 5 ms to gather tail samples in a short window)
 	ProbeInterval sim.Time // RTT probe spacing (default 1 ms)
-
-	// GROOverride forces a receive-offload handler regardless of the
-	// system's natural choice (Figure 5 pairs Presto spraying with
-	// official GRO).
-	GROOverride cluster.GROKind
 
 	// Telemetry, when non-nil, wires event tracing and snapshot probes
 	// through the run's cluster; the run's snapshot is attached to the
@@ -196,19 +219,19 @@ func OptimalTopo(hosts int) *topo.Topology {
 
 // buildCluster assembles a cluster for a system on a topology.
 func buildCluster(sys System, tp *topo.Topology, opt Options) *cluster.Cluster {
-	return cluster.New(clusterConfigFor(sys, tp, opt))
+	return cluster.New(sys.ClusterConfig(tp, opt))
 }
 
-// clusterConfigFor maps a system onto a cluster configuration
-// (callers that support sharding set Shards on the result).
-func clusterConfigFor(sys System, tp *topo.Topology, opt Options) cluster.Config {
+// ClusterConfig maps the system onto a cluster configuration for tp:
+// the registry scheme and its parameters, plus opt's seed and
+// telemetry. Callers that support sharding set Shards on the result.
+func (s System) ClusterConfig(tp *topo.Topology, opt Options) cluster.Config {
 	return cluster.Config{
 		Topology:     tp,
 		Seed:         opt.Seed,
-		GRO:          opt.GROOverride,
 		Telemetry:    opt.Telemetry,
-		Scheme:       cluster.Scheme(sys.scheme),
-		SchemeParams: sys.paramMap(),
+		Scheme:       cluster.Scheme(s.scheme),
+		SchemeParams: s.paramMap(),
 	}
 }
 

@@ -127,15 +127,9 @@ func SchemeMatrixSpec(schemes []string, opt Options) (*campaign.Spec, error) {
 	if len(schemes) > 0 {
 		name += "/" + fmt.Sprint(len(schemes)) + "-schemes"
 	}
-	return &campaign.Spec{
-		Name: name,
-		Params: map[string]string{
-			"duration": opt.Duration.String(),
-			"warmup":   opt.Warmup.String(),
-			"schemes":  fmt.Sprint(len(cells) / (len(matrixWorkloads) * len(matrixTopos))),
-		},
-		Cells: cells,
-	}, nil
+	spec := &campaign.Spec{Name: name, Params: windowParams(opt), Cells: cells}
+	spec.Params["schemes"] = fmt.Sprint(len(cells) / (len(matrixWorkloads) * len(matrixTopos)))
+	return spec, nil
 }
 
 // RunSchemeMatrix builds and executes the scheme-matrix campaign over

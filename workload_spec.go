@@ -16,9 +16,7 @@ import (
 // into the experiment harness: RunSpecWorkload executes one spec on
 // one system, SpecWorkloadCell wraps that as a campaign cell carrying
 // the spec hash, and SpecWorkloadCampaign sweeps a spec across the §4
-// system lineup — the shared engine behind `-workload` on
-// cmd/experiments and cmd/prestosim and the `workload` field of
-// prestod job requests.
+// system lineup — what a Scenario compiles a spec workload to.
 
 // specTopo returns the testbed for sys, attaching the Table 2-style
 // 100 Mbps remote users when the spec has north-south clients
@@ -122,6 +120,7 @@ func SpecWorkloadCell(sys System, ws *wspec.Spec, opt Options) campaign.Cell {
 				return campaign.Result{}, err
 			}
 			res := loadCellResult(r)
+			res.Detail = RunDetail{System: sys, Workload: fmt.Sprintf("%s(spec %s)", ws.Name, ws.Hash()), Load: r, Clients: clients}
 			// Per-client outcomes ride along so multi-client specs stay
 			// diagnosable (e.g. mice vs elephants of mice-heavy).
 			for _, cr := range clients {
@@ -144,23 +143,13 @@ func SpecWorkloadCell(sys System, ws *wspec.Spec, opt Options) campaign.Cell {
 	}
 }
 
-// SpecWorkloadCampaign sweeps one workload spec across systems
-// (default: the §4 lineup ECMP/MPTCP/Presto/Optimal). The spec hash
-// is recorded both per cell and as a campaign param, so the campaign
-// hash — and any golden gate — pins the exact workload.
+// SpecWorkloadCampaign sweeps one workload spec across systems. The
+// spec hash is recorded both per cell and as a campaign param, so the
+// campaign hash — and any golden gate — pins the exact workload.
 func SpecWorkloadCampaign(ws *wspec.Spec, systems []System, opt Options) *campaign.Spec {
 	opt.fill()
-	if len(systems) == 0 {
-		systems = scaleSystems
-	}
-	cs := &campaign.Spec{
-		Name: "workload-spec/" + ws.Name,
-		Params: map[string]string{
-			"duration": opt.Duration.String(),
-			"warmup":   opt.Warmup.String(),
-			"workload": ws.Hash(),
-		},
-	}
+	cs := &campaign.Spec{Name: "workload-spec/" + ws.Name, Params: windowParams(opt)}
+	cs.Params["workload"] = ws.Hash()
 	for _, sys := range systems {
 		cs.Cells = append(cs.Cells, SpecWorkloadCell(sys, ws, opt))
 	}
