@@ -5,11 +5,12 @@
 // BENCH_*.json artifacts the CI perf gate compares against.
 //
 // The headline benchmarks are allocation-gated: EngineScheduleRun,
-// PrestoGROFlush, and TelemetryEmitRing must report 0 allocs/op in
-// steady state (the event arena, the sorted-insert GRO path, and the
-// tracer's overwrite-in-place ring exist to make that true), and the
-// CI bench-smoke job fails on >20% allocs/op regressions against the
-// committed baseline.
+// EngineTieHeavy, FabricHop, PrestoGROFlush, and TelemetryEmitRing
+// must report 0 allocs/op in steady state (the event arena and delay
+// lanes, the fabric's packet rings and bound callbacks, the
+// sorted-insert GRO path, and the tracer's overwrite-in-place ring
+// exist to make that true), and the CI bench-smoke job fails on >20%
+// allocs/op regressions against the committed baseline.
 package bench
 
 import (
@@ -17,10 +18,12 @@ import (
 	"testing"
 
 	presto "presto"
+	"presto/internal/fabric"
 	"presto/internal/gro"
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
+	"presto/internal/topo"
 )
 
 // Short trims the end-to-end benchmark windows; cmd/prestobench -short
@@ -44,6 +47,8 @@ func Suite() []Spec {
 	return []Spec{
 		{Name: "EngineScheduleRun", Fn: EngineScheduleRun, Gated: true},
 		{Name: "EngineTimerReset", Fn: EngineTimerReset, Gated: true},
+		{Name: "EngineTieHeavy", Fn: EngineTieHeavy, Gated: true},
+		{Name: "FabricHop", Fn: FabricHop, Gated: true},
 		{Name: "PrestoGROFlush", Fn: PrestoGROFlush, Gated: true},
 		{Name: "PrestoGROReorderWindow", Fn: PrestoGROReorderWindow, Gated: true},
 		{Name: "TelemetryEmitRing", Fn: TelemetryEmitRing, Gated: true},
@@ -90,6 +95,74 @@ func EngineTimerReset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm.Reset(sim.Microsecond + sim.Time(i&7))
+	}
+}
+
+// EngineTieHeavy measures one event through a lockstep queue shaped
+// like the pod run: 64 chains start together, and each event schedules
+// its chain's next one after a delay cycling through MTU and ACK
+// serialization at 10 Gb/s, host and fabric propagation, and a NIC
+// poll. Chains start at different points of the cycle, so every
+// instant mixes delays, most pops tie the previous timestamp, and
+// pushes land in a handful of delay lanes. Steady state must be
+// allocation-free.
+func EngineTieHeavy(b *testing.B) {
+	e := sim.NewEngine()
+	delays := [...]sim.Time{1230, 67, 500, 1500, 2350}
+	const chains = 64
+	left := b.N
+	for c := 0; c < chains; c++ {
+		k := c
+		var tick func()
+		tick = func() {
+			if left > 0 {
+				left--
+				e.Schedule(delays[k%len(delays)], tick)
+				k++
+			}
+		}
+		e.Schedule(0, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
+}
+
+// hopSink counts packets delivered to a host.
+type hopSink struct{ n int }
+
+func (s *hopSink) HandlePacket(*packet.Packet) { s.n++ }
+
+// FabricHop measures one packet through one switch hop of the data
+// plane: host 0's access pipe (Pipe.Enqueue, txDone, deliverHead), the
+// leaf's Switch.forward, and the leaf's pipe to host 1, which delivers
+// it. The packet object is reused, so steady state must be
+// allocation-free.
+func FabricHop(b *testing.B) {
+	eng := sim.NewEngine()
+	net := fabric.New(eng, topo.TwoTierClos(1, 1, 2, 1, topo.LinkConfig{}), fabric.Config{})
+	sink := &hopSink{}
+	net.AttachHost(1, sink)
+	p := &packet.Packet{
+		SrcMAC:  packet.HostMAC(0),
+		DstMAC:  packet.HostMAC(1),
+		Flow:    packet.FlowKey{Src: packet.Addr{Host: 0, Port: 4000}, Dst: packet.Addr{Host: 1, Port: 5000}},
+		Payload: packet.MSS,
+	}
+	hop := func() {
+		p.Hops = 0
+		net.SendFromHost(0, p)
+		eng.RunAll()
+	}
+	hop() // grow the rings and the arena to their steady size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop()
+	}
+	b.StopTimer()
+	if sink.n != b.N+1 {
+		b.Fatalf("delivered %d packets, want %d", sink.n, b.N+1)
 	}
 }
 

@@ -7,6 +7,8 @@ import "testing"
 
 func BenchmarkEngineScheduleRun(b *testing.B) { Short = testing.Short(); EngineScheduleRun(b) }
 func BenchmarkEngineTimerReset(b *testing.B)  { Short = testing.Short(); EngineTimerReset(b) }
+func BenchmarkEngineTieHeavy(b *testing.B)    { Short = testing.Short(); EngineTieHeavy(b) }
+func BenchmarkFabricHop(b *testing.B)         { Short = testing.Short(); FabricHop(b) }
 func BenchmarkPrestoGROFlush(b *testing.B)    { Short = testing.Short(); PrestoGROFlush(b) }
 func BenchmarkPrestoGROReorderWindow(b *testing.B) {
 	Short = testing.Short()

@@ -368,3 +368,102 @@ func TestPacketConservationProperty(t *testing.T) {
 type handlerCount struct{ n *uint64 }
 
 func (h handlerCount) HandlePacket(*packet.Packet) { *h.n++ }
+
+// TestFailLinkMidFlight fails a host access link while its pipe holds
+// packets in every stage: propagating, serializing and queued. Queued
+// packets count as DropsDown at once; the packet on the wire counts
+// when its serialization ends; the propagating packet still arrives.
+func TestFailLinkMidFlight(t *testing.T) {
+	eng, n, cols := testNet(t, 2, 2, 2)
+	pkts := make([]*packet.Packet, 4)
+	for i := range pkts {
+		pkts[i] = mkPkt(0, 1, 1000) // same leaf: host0 -> leaf -> host1
+		n.SendFromHost(0, pkts[i])
+	}
+	lid := n.Topo.HostLink(0)
+	pipe := n.Pipe(lid, n.Topo.HostNode(0))
+	ser := sim.Time(int64(pkts[0].WireSize()) * 8 * int64(sim.Second) / 10e9)
+	// Just after the first packet leaves the wire: it propagates (500ns
+	// host hop), the second serializes, two wait in the queue.
+	eng.Run(ser + 100*sim.Nanosecond)
+	if pipe.TxPackets != 1 || pipe.QueuedBytes() != 2*pkts[0].WireSize() {
+		t.Fatalf("setup: tx %d, queued %dB", pipe.TxPackets, pipe.QueuedBytes())
+	}
+	n.FailLink(lid)
+	if pipe.DropsDown != 2 || n.TotalDropsDown() != 2 || pipe.QueuedBytes() != 0 {
+		t.Fatalf("after fail: drops_down %d (total %d), queued %dB; want the 2 queued packets dropped",
+			pipe.DropsDown, n.TotalDropsDown(), pipe.QueuedBytes())
+	}
+	eng.RunAll()
+	if pipe.DropsDown != 3 || pipe.TxPackets != 2 {
+		t.Fatalf("after drain: drops_down %d tx %d; want the serializing packet counted at tx-done", pipe.DropsDown, pipe.TxPackets)
+	}
+	if got := cols[1].pkts; len(got) != 1 || got[0] != pkts[0] {
+		t.Fatalf("host1 received %d packets, want only the one propagating at the failure", len(got))
+	}
+	// Restored, the pipe carries traffic again.
+	n.RestoreLink(lid)
+	n.SendFromHost(0, mkPkt(0, 1, 1000))
+	eng.RunAll()
+	if len(cols[1].pkts) != 2 {
+		t.Fatalf("host1 received %d packets after restore, want 2", len(cols[1].pkts))
+	}
+}
+
+// TestPickECMPMatchesFilteredGroup checks the counting pick against
+// the filter-then-index formula it replaced, over every up/down and
+// failover state of a four-member group, and that it never allocates.
+func TestPickECMPMatchesFilteredGroup(t *testing.T) {
+	eng, n, _ := testNet(t, 4, 2, 1)
+	leaf := n.Topo.Leaves[0]
+	cands := n.Topo.NextLinksTo(leaf, n.Topo.Leaves[1])
+	if len(cands) != 4 {
+		t.Fatalf("leaf has %d ECMP uplinks, want 4", len(cands))
+	}
+	latency := n.cfg.FailoverLatency
+	reference := func(p *packet.Packet, now sim.Time) (topo.LinkID, bool) {
+		var live []topo.LinkID
+		for _, c := range cands {
+			if n.LinkUp(c) || !n.failoverActive(c, now) {
+				live = append(live, c)
+			}
+		}
+		if len(live) == 0 {
+			return 0, false
+		}
+		h := p.Flow.Hash()
+		h ^= p.FlowcellID * 2654435761
+		h ^= h >> 13
+		h *= 0x5bd1e995
+		h ^= h >> 15
+		return live[int(h)%len(live)], true
+	}
+	for mask := 0; mask < 1<<len(cands); mask++ {
+		for i, c := range cands {
+			if mask&(1<<i) != 0 {
+				n.FailLink(c)
+			} else {
+				n.RestoreLink(c)
+			}
+		}
+		// Before the failover latency, dead members stay in the group;
+		// after it, they are pruned.
+		for _, now := range []sim.Time{eng.Now(), eng.Now() + latency} {
+			for fc := uint32(0); fc < 64; fc++ {
+				p := mkPkt(0, 1, 100)
+				p.Flow.Src.Port = uint16(1000 + fc%7)
+				p.FlowcellID = fc
+				got, gotOK := pickECMP(n, cands, p, now)
+				want, wantOK := reference(p, now)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("down mask %04b, now %v, flowcell %d: pick (%d, %v), reference (%d, %v)",
+						mask, now, fc, got, gotOK, want, wantOK)
+				}
+			}
+			p := mkPkt(0, 1, 100)
+			if allocs := testing.AllocsPerRun(100, func() { pickECMP(n, cands, p, now) }); allocs != 0 {
+				t.Fatalf("down mask %04b: pickECMP allocated %.1f times per call", mask, allocs)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"presto/internal/sim"
+	"presto/internal/topo"
 )
 
 // LinkSample is one point in a monitored link-direction time series.
@@ -24,8 +25,9 @@ type Monitor struct {
 	interval sim.Time
 	max      int // per-series sample cap
 
-	lastTx    map[pipeKey]uint64
-	series    map[pipeKey][]LinkSample
+	// lastTx and series are indexed like Network.pipes.
+	lastTx    []uint64
+	series    [][]LinkSample
 	truncated bool
 	started   bool
 }
@@ -50,8 +52,8 @@ func NewMonitor(n *Network, interval sim.Time, maxSamples int) *Monitor {
 		net:      n,
 		interval: interval,
 		max:      maxSamples,
-		lastTx:   make(map[pipeKey]uint64),
-		series:   make(map[pipeKey][]LinkSample),
+		lastTx:   make([]uint64, len(n.pipes)),
+		series:   make([][]LinkSample, len(n.pipes)),
 	}
 }
 
@@ -61,15 +63,16 @@ func (m *Monitor) Start() {
 		return
 	}
 	m.started = true
-	for k, p := range m.net.pipes {
-		m.lastTx[k] = p.TxBytes
+	for k := range m.net.pipes {
+		m.lastTx[k] = m.net.pipes[k].TxBytes
 	}
 	m.net.Eng.Schedule(m.interval, m.tick)
 }
 
 func (m *Monitor) tick() {
 	now := m.net.Eng.Now()
-	for k, p := range m.net.pipes {
+	for k := range m.net.pipes {
+		p := &m.net.pipes[k]
 		s := m.series[k]
 		if len(s) >= m.max {
 			m.truncated = true
@@ -92,13 +95,11 @@ func (m *Monitor) Truncated() bool { return m != nil && m.truncated }
 
 // Series returns the samples for one link direction (nil if none).
 func (m *Monitor) Series(link int, from int) []LinkSample {
-	if m == nil {
+	if m == nil || link < 0 || link >= len(m.net.Topo.Links) {
 		return nil
 	}
-	for k, s := range m.series {
-		if int(k.link) == link && int(k.from) == from {
-			return s
-		}
+	if i := m.net.pipeIndex(topo.LinkID(link), topo.NodeID(from)); i >= 0 {
+		return m.series[i]
 	}
 	return nil
 }
@@ -123,7 +124,8 @@ func (m *Monitor) TelemetrySnapshot() map[string]any {
 			}
 			sumU += pt.Utilization
 		}
-		key := fmt.Sprintf("link%d:%d->%d", k.link, k.from, m.net.Topo.Links[k.link].Other(k.from))
+		p := &m.net.pipes[k]
+		key := fmt.Sprintf("link%d:%d->%d", p.link.ID, p.from, p.dst)
 		out[key] = map[string]any{
 			"samples":          len(s),
 			"max_queued_bytes": maxQ,

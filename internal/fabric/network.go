@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -62,11 +61,6 @@ func (c *Config) fill() {
 	}
 }
 
-type pipeKey struct {
-	link topo.LinkID
-	from topo.NodeID
-}
-
 // shardCounters holds one shard's slice of the aggregate drop and
 // delivery counts. Each pipe and switch increments the bucket of the
 // shard its node runs on, so counting never crosses goroutines; the
@@ -96,13 +90,20 @@ type Network struct {
 	shardOf  []int32
 	counters []shardCounters
 
-	pipes    map[pipeKey]*Pipe
-	switches map[topo.NodeID]*Switch
-	hosts    map[packet.HostID]Handler
+	// pipes holds both directions of every link: pipes[2*id] transmits
+	// from link id's A end, pipes[2*id+1] from its B end.
+	pipes []Pipe
+	// switches is indexed by NodeID (nil for hosts), hosts by HostID.
+	switches []*Switch
+	hosts    []Handler
 
-	linkDownSince map[topo.LinkID]sim.Time
-	tracer        *telemetry.Tracer
+	// downSince[id] is when link id failed, or linkUp while it is up.
+	downSince []sim.Time
+	tracer    *telemetry.Tracer
 }
+
+// linkUp marks a live link in Network.downSince.
+const linkUp sim.Time = -1
 
 // New builds the data plane for t, driven by the single engine eng.
 func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
@@ -145,14 +146,18 @@ func NewSharded(g *sim.ShardGroup, shardOf []int32, t *topo.Topology, cfg Config
 
 func newNetwork(t *topo.Topology, cfg Config) *Network {
 	cfg.fill()
-	return &Network{
-		Topo:          t,
-		cfg:           cfg,
-		pipes:         make(map[pipeKey]*Pipe),
-		switches:      make(map[topo.NodeID]*Switch),
-		hosts:         make(map[packet.HostID]Handler),
-		linkDownSince: make(map[topo.LinkID]sim.Time),
+	n := &Network{
+		Topo:      t,
+		cfg:       cfg,
+		pipes:     make([]Pipe, 2*len(t.Links)),
+		switches:  make([]*Switch, len(t.Nodes)),
+		hosts:     make([]Handler, t.NumHosts()),
+		downSince: make([]sim.Time, len(t.Links)),
 	}
+	for i := range n.downSince {
+		n.downSince[i] = linkUp
+	}
+	return n
 }
 
 // populate builds the pipes and switches once the engine topology
@@ -160,7 +165,7 @@ func newNetwork(t *topo.Topology, cfg Config) *Network {
 func (n *Network) populate() {
 	t := n.Topo
 	for _, l := range t.Links {
-		for _, from := range []topo.NodeID{l.A, l.B} {
+		for dir, from := range [2]topo.NodeID{l.A, l.B} {
 			capBytes := n.cfg.SwitchQueueBytes
 			if t.Nodes[from].Kind == topo.KindHost {
 				capBytes = n.cfg.HostQueueBytes
@@ -170,11 +175,14 @@ func (n *Network) populate() {
 			if n.group != nil && n.shardOf[from] != n.shardOf[dst] {
 				dstShard = int(n.shardOf[dst])
 			}
-			n.pipes[pipeKey{l.ID, from}] = &Pipe{
+			p := &n.pipes[2*int(l.ID)+dir]
+			*p = Pipe{
 				eng: n.EngineFor(from), net: n, link: l, from: from,
 				dst: dst, dstShard: dstShard,
 				ctr: n.counterOf(from), capBytes: capBytes,
 			}
+			// Bound once: the pipe stays at this address for the run.
+			p.txDoneFn, p.deliverFn = p.txDone, p.deliverHead
 		}
 	}
 	for _, node := range t.Nodes {
@@ -260,22 +268,36 @@ func (n *Network) SetTracer(tr *telemetry.Tracer) { n.tracer = tr }
 func (n *Network) Switch(id topo.NodeID) *Switch { return n.switches[id] }
 
 // Pipe returns the directed pipe of link id transmitting from node
-// from.
+// from, or nil when from is not an end of the link.
 func (n *Network) Pipe(id topo.LinkID, from topo.NodeID) *Pipe {
-	return n.pipes[pipeKey{id, from}]
+	if i := n.pipeIndex(id, from); i >= 0 {
+		return &n.pipes[i]
+	}
+	return nil
+}
+
+// pipeIndex returns the index in n.pipes of link id's direction
+// transmitting from node from, or -1 when from is not an end of it.
+func (n *Network) pipeIndex(id topo.LinkID, from topo.NodeID) int {
+	switch l := &n.Topo.Links[id]; from {
+	case l.A:
+		return 2 * int(id)
+	case l.B:
+		return 2*int(id) + 1
+	}
+	return -1
 }
 
 // SendFromHost injects a packet from host h onto its access link.
 func (n *Network) SendFromHost(h packet.HostID, p *packet.Packet) {
-	lid := n.Topo.HostLink(h)
-	n.pipes[pipeKey{lid, n.Topo.HostNode(h)}].Enqueue(p)
+	n.Pipe(n.Topo.HostLink(h), n.Topo.HostNode(h)).Enqueue(p)
 }
 
 // deliver hands a packet that finished propagating to its next node.
 // In sharded mode it always runs on the engine of node's shard (the
 // pipe either scheduled it locally or routed it through the group).
 func (n *Network) deliver(node topo.NodeID, p *packet.Packet) {
-	nd := n.Topo.Nodes[node]
+	nd := &n.Topo.Nodes[node]
 	if nd.Kind == topo.KindHost {
 		n.counterOf(node).delivered++
 		if h := n.hosts[nd.Host]; h != nil {
@@ -292,35 +314,30 @@ func (n *Network) deliver(node topo.NodeID, p *packet.Packet) {
 // by every shard without synchronization during windows.
 func (n *Network) FailLink(id topo.LinkID) {
 	n.checkQuiescent("FailLink")
-	if _, dead := n.linkDownSince[id]; dead {
+	if !n.LinkUp(id) {
 		return
 	}
-	n.linkDownSince[id] = n.now()
+	n.downSince[id] = n.now()
 	n.tracer.LinkDown(n.now(), int32(id))
-	l := n.Topo.Links[id]
-	n.pipes[pipeKey{id, l.A}].fail()
-	n.pipes[pipeKey{id, l.B}].fail()
+	n.pipes[2*id].fail()
+	n.pipes[2*id+1].fail()
 }
 
 // RestoreLink brings link id back up. Like FailLink it is only legal
 // between Run calls on a sharded network.
 func (n *Network) RestoreLink(id topo.LinkID) {
 	n.checkQuiescent("RestoreLink")
-	if _, dead := n.linkDownSince[id]; !dead {
+	if n.LinkUp(id) {
 		return
 	}
-	delete(n.linkDownSince, id)
+	n.downSince[id] = linkUp
 	n.tracer.LinkUp(n.now(), int32(id))
-	l := n.Topo.Links[id]
-	n.pipes[pipeKey{id, l.A}].restore()
-	n.pipes[pipeKey{id, l.B}].restore()
+	n.pipes[2*id].restore()
+	n.pipes[2*id+1].restore()
 }
 
 // LinkUp reports whether link id is up.
-func (n *Network) LinkUp(id topo.LinkID) bool {
-	_, dead := n.linkDownSince[id]
-	return !dead
-}
+func (n *Network) LinkUp(id topo.LinkID) bool { return n.downSince[id] == linkUp }
 
 // checkQuiescent panics if a sharded run is in progress: callers
 // mutate state every shard reads without synchronization.
@@ -335,21 +352,21 @@ func (n *Network) checkQuiescent(op string) {
 // latency) as of the caller's clock. Switches pass their own engine's
 // now so the check is shard-local.
 func (n *Network) failoverActive(id topo.LinkID, now sim.Time) bool {
-	since, dead := n.linkDownSince[id]
-	if !dead || n.cfg.DisableFailover {
+	since := n.downSince[id]
+	if since == linkUp || n.cfg.DisableFailover {
 		return false
 	}
 	return now >= since+n.cfg.FailoverLatency
 }
 
-// DownLinks returns the currently failed links, sorted by link ID so
-// the result is independent of map iteration order.
+// DownLinks returns the currently failed links, sorted by link ID.
 func (n *Network) DownLinks() []topo.LinkID {
 	var out []topo.LinkID
-	for id := range n.linkDownSince {
-		out = append(out, id)
+	for id, since := range n.downSince {
+		if since != linkUp {
+			out = append(out, topo.LinkID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -358,8 +375,9 @@ func (n *Network) DownLinks() []topo.LinkID {
 // paper's switch-counter measurement.
 func (n *Network) LossRate() float64 {
 	var drops, enq uint64
-	for k, p := range n.pipes {
-		if n.Topo.Nodes[k.from].Kind == topo.KindHost {
+	for i := range n.pipes {
+		p := &n.pipes[i]
+		if n.Topo.Nodes[p.from].Kind == topo.KindHost {
 			continue
 		}
 		drops += p.Drops
@@ -377,12 +395,13 @@ func (n *Network) LossRate() float64 {
 func (n *Network) TelemetrySnapshot() map[string]any {
 	links := make(map[string]any, len(n.pipes))
 	elapsed := n.now()
-	for k, p := range n.pipes {
+	for i := range n.pipes {
+		p := &n.pipes[i]
 		util := 0.0
 		if elapsed > 0 {
 			util = float64(p.TxBytes*8) / (elapsed.Seconds() * float64(p.link.BitsPerSec))
 		}
-		links[fmt.Sprintf("link%d:%d->%d", k.link, k.from, p.link.Other(k.from))] = map[string]any{
+		links[fmt.Sprintf("link%d:%d->%d", p.link.ID, p.from, p.dst)] = map[string]any{
 			"tx_packets":      p.TxPackets,
 			"tx_bytes":        p.TxBytes,
 			"drops":           p.Drops,

@@ -29,9 +29,16 @@ type Pipe struct {
 
 	capBytes   int
 	queuedWire int // wire bytes currently queued (excluding in-flight)
-	queue      []*packet.Packet
-	busy       bool
+	queue      sim.Ring[*packet.Packet]
+	tx         *packet.Packet // packet being serialized, nil when idle
 	down       bool
+	// inflight holds packets propagating to a same-shard receiver, in
+	// arrival order: propagation is constant per link, so deliveries
+	// fire in the order they were scheduled.
+	inflight sim.Ring[*packet.Packet]
+	// txDoneFn and deliverFn are p.txDone and p.deliverHead bound once,
+	// so scheduling a hop allocates nothing.
+	txDoneFn, deliverFn func()
 
 	// Counters (switch-counter analogues; loss rate in the paper is
 	// measured from these).
@@ -53,6 +60,8 @@ func (p *Pipe) QueuedBytes() int { return p.queuedWire }
 
 // Enqueue places pkt on the output queue, dropping it if the link is
 // down or the queue is full.
+//
+//prestolint:noalloc
 func (p *Pipe) Enqueue(pkt *packet.Packet) {
 	p.EnqPackets++
 	if p.down {
@@ -76,59 +85,85 @@ func (p *Pipe) Enqueue(pkt *packet.Packet) {
 	if p.queuedWire > p.MaxQueuedBytes {
 		p.MaxQueuedBytes = p.queuedWire
 	}
-	p.queue = append(p.queue, pkt)
-	if !p.busy {
+	p.queue.Push(pkt)
+	if p.tx == nil {
 		p.transmitNext()
 	}
 }
 
+// transmitNext starts serializing the next queued packet, or idles the
+// pipe when the queue is empty or the link is down.
+//
+//prestolint:noalloc
 func (p *Pipe) transmitNext() {
-	if len(p.queue) == 0 || p.down {
-		p.busy = false
+	if p.queue.Len() == 0 || p.down {
+		p.tx = nil
 		return
 	}
-	p.busy = true
-	pkt := p.queue[0]
-	p.queue = p.queue[1:]
+	pkt := p.queue.Pop()
+	p.tx = pkt
 	w := pkt.WireSize()
 	p.queuedWire -= w
 	ser := sim.Time(int64(w) * 8 * int64(sim.Second) / p.link.BitsPerSec)
-	p.eng.Schedule(ser, func() {
-		p.TxPackets++
-		p.TxBytes += uint64(w)
-		p.LastActive = p.eng.Now()
-		if !p.down {
-			// Propagation: the packet arrives at the far end later; the
-			// queue meanwhile keeps draining. A shard boundary rides the
-			// group's handoff path (propagation >= lookahead is checked
-			// at construction, so the send is always window-legal).
-			dst := p.dst
-			if p.dstShard < 0 {
-				p.eng.Schedule(p.link.Propagation, func() { p.net.deliver(dst, pkt) })
-			} else {
-				p.net.group.Send(p.eng, p.dstShard, p.link.Propagation, func() { p.net.deliver(dst, pkt) })
-			}
-		} else {
-			p.DropsDown++
-			p.ctr.dropsDown++
-		}
-		p.transmitNext()
-	})
+	p.eng.Schedule(ser, p.txDoneFn)
 }
 
-// fail marks the pipe down and discards its queue.
+// txDone finishes serializing p.tx: the packet starts propagating to
+// the far end (or is black-holed if the link went down meanwhile), and
+// the queue keeps draining.
+//
+//prestolint:noalloc
+func (p *Pipe) txDone() {
+	pkt := p.tx
+	p.TxPackets++
+	p.TxBytes += uint64(pkt.WireSize())
+	p.LastActive = p.eng.Now()
+	switch {
+	case p.down:
+		p.DropsDown++
+		p.ctr.dropsDown++
+	case p.dstShard < 0:
+		p.inflight.Push(pkt)
+		p.eng.Schedule(p.link.Propagation, p.deliverFn)
+	default:
+		p.sendRemote(pkt)
+	}
+	p.transmitNext()
+}
+
+// deliverHead hands the oldest propagating packet to the far end.
+//
+//prestolint:noalloc
+func (p *Pipe) deliverHead() {
+	p.net.deliver(p.dst, p.inflight.Pop())
+}
+
+// sendRemote delivers pkt on the receiving end's shard. It rides the
+// group's handoff path with a per-packet closure: an in-flight ring
+// would be touched by both shards within one window. Propagation >=
+// lookahead is checked at construction, so the send is always
+// window-legal.
+func (p *Pipe) sendRemote(pkt *packet.Packet) {
+	dst := p.dst
+	p.net.group.Send(p.eng, p.dstShard, p.link.Propagation, func() { p.net.deliver(dst, pkt) })
+}
+
+// fail marks the pipe down and discards its queue. The packet being
+// serialized is counted when it finishes (txDone); packets already
+// propagating still arrive.
 func (p *Pipe) fail() {
 	p.down = true
-	p.DropsDown += uint64(len(p.queue))
-	p.ctr.dropsDown += uint64(len(p.queue))
-	p.queue = nil
+	n := uint64(p.queue.Len())
+	p.DropsDown += n
+	p.ctr.dropsDown += n
+	p.queue.Clear()
 	p.queuedWire = 0
 }
 
 // restore brings the pipe back up.
 func (p *Pipe) restore() {
 	p.down = false
-	if !p.busy {
+	if p.tx == nil {
 		p.transmitNext()
 	}
 }

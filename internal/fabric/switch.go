@@ -59,6 +59,9 @@ func (s *Switch) SetNumTrees(n int) { s.numTrees = n }
 // LabelCount returns the number of installed label entries.
 func (s *Switch) LabelCount() int { return len(s.labelTable) }
 
+// forward switches one arriving packet.
+//
+//prestolint:noalloc
 func (s *Switch) forward(p *packet.Packet) {
 	s.RxPackets++
 	p.Hops++
@@ -198,18 +201,18 @@ func (s *Switch) forwardRealMAC(p *packet.Packet) {
 // pickECMP hashes the packet onto one of the candidate links. Links
 // whose failover rule has activated are excluded from the group
 // (hardware ECMP prunes dead members after detection); before
-// activation, dead links still attract (and black-hole) traffic.
+// activation, dead links still attract (and black-hole) traffic. The
+// pick is the (hash mod live)-th group member in candidate order.
+//
+//prestolint:noalloc
 func pickECMP(n *Network, candidates []topo.LinkID, p *packet.Packet, now sim.Time) (topo.LinkID, bool) {
-	if len(candidates) == 0 {
-		return 0, false
-	}
-	live := candidates[:0:0]
+	live := 0
 	for _, c := range candidates {
-		if n.LinkUp(c) || !n.failoverActive(c, now) {
-			live = append(live, c)
+		if n.ecmpMember(c, now) {
+			live++
 		}
 	}
-	if len(live) == 0 {
+	if live == 0 {
 		return 0, false
 	}
 	h := p.Flow.Hash()
@@ -217,7 +220,22 @@ func pickECMP(n *Network, candidates []topo.LinkID, p *packet.Packet, now sim.Ti
 	h ^= h >> 13
 	h *= 0x5bd1e995
 	h ^= h >> 15
-	return live[int(h)%len(live)], true
+	k := int(h) % live
+	for i := 0; ; i++ {
+		if !n.ecmpMember(candidates[i], now) {
+			continue
+		}
+		if k == 0 {
+			return candidates[i], true
+		}
+		k--
+	}
+}
+
+// ecmpMember reports whether link id is still in its ECMP groups: up,
+// or down but not yet pruned by the failover rule.
+func (n *Network) ecmpMember(id topo.LinkID, now sim.Time) bool {
+	return n.LinkUp(id) || !n.failoverActive(id, now)
 }
 
 // upLinkTo returns a live link from this spine to the given leaf.

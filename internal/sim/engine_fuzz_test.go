@@ -90,14 +90,34 @@ func (e *oracleEngine) runAll() {
 // engineAPI abstracts the two engines so one script drives both.
 type engineAPI struct {
 	schedule func(delay Time, fn func()) (cancel func() bool)
+	// newTimer returns the Reset of a restartable timer running fn.
+	newTimer func(fn func()) (reset func(delay Time))
 	runAll   func()
 	now      func() Time
 }
 
-// driveScript interprets data as a schedule/cancel script: a handful of
-// root events, each callback possibly scheduling a child (tight delays,
-// so same-instant ties are common) and possibly canceling an earlier
-// event. It returns the (label, time) firing log.
+// lockstepDelays is the tie-heavy part of the fuzz delay alphabet: the
+// few delays a lockstep fabric repeats (zero, one tick, ACK and MTU
+// serialization, host and fabric propagation), so events pile into
+// shared delay lanes and fire at shared instants.
+var lockstepDelays = [8]Time{0, 1, 67, 500, 1230, 1500, 2000, 1230}
+
+// fuzzDelay maps a script byte to a delay: the lockstep alphabet when
+// the high bit is clear, else one of 128 spread delays — more than the
+// engine's lane table holds, so lane collisions take the heap.
+func fuzzDelay(b byte) Time {
+	if b&0x80 == 0 {
+		return lockstepDelays[b&7]
+	}
+	return Time(b&0x7f) * 7
+}
+
+// driveScript interprets data as a schedule/cancel/timer script: a
+// handful of root events, each callback possibly scheduling a child
+// (mostly repeated delays, so same-instant ties are common), canceling
+// an earlier event (tombstoning it when it sits in a lane), and
+// rearming one of two timers. It returns the (label, time) firing log;
+// timer firings log negative labels.
 func driveScript(data []byte, api engineAPI) []int64 {
 	pos := 0
 	next := func() byte {
@@ -111,6 +131,11 @@ func driveScript(data []byte, api engineAPI) []int64 {
 
 	var log []int64
 	var cancels []func() bool
+	var timers [2]func(Time)
+	for i := range timers {
+		l := int64(-1 - i)
+		timers[i] = api.newTimer(func() { log = append(log, l, int64(api.now())) })
+	}
 	label := int64(0)
 	var mk func() func()
 	mk = func() func() {
@@ -120,16 +145,19 @@ func driveScript(data []byte, api engineAPI) []int64 {
 			log = append(log, l, int64(api.now()))
 			op := next()
 			if op&1 != 0 && label < 512 {
-				cancels = append(cancels, api.schedule(Time(next()&15), mk()))
+				cancels = append(cancels, api.schedule(fuzzDelay(next()), mk()))
 			}
 			if op&2 != 0 && len(cancels) > 0 {
 				cancels[int(next())%len(cancels)]()
+			}
+			if op&4 != 0 {
+				timers[op>>7](fuzzDelay(next()))
 			}
 		}
 	}
 	roots := int(next())%12 + 2
 	for i := 0; i < roots; i++ {
-		cancels = append(cancels, api.schedule(Time(next()&7), mk()))
+		cancels = append(cancels, api.schedule(fuzzDelay(next()), mk()))
 	}
 	api.runAll()
 	return log
@@ -141,8 +169,9 @@ func realAPI(e *Engine) engineAPI {
 			id := e.Schedule(d, fn)
 			return func() bool { return e.Cancel(id) }
 		},
-		runAll: func() { e.RunAll() },
-		now:    e.Now,
+		newTimer: func(fn func()) func(Time) { return NewTimer(e, fn).Reset },
+		runAll:   func() { e.RunAll() },
+		now:      e.Now,
 	}
 }
 
@@ -151,6 +180,15 @@ func oracleAPI(e *oracleEngine) engineAPI {
 		schedule: func(d Time, fn func()) func() bool {
 			ev := e.schedule(d, fn)
 			return func() bool { return e.cancel(ev) }
+		},
+		// A timer over the oracle's own schedule/cancel: Reset cancels
+		// the pending expiration and schedules a fresh one.
+		newTimer: func(fn func()) func(Time) {
+			var ev *oracleEvent
+			return func(d Time) {
+				e.cancel(ev)
+				ev = e.schedule(d, fn)
+			}
 		},
 		runAll: func() { e.runAll() },
 		now:    func() Time { return e.now },
@@ -362,13 +400,15 @@ func FuzzShardedEngine(f *testing.F) {
 	})
 }
 
-// FuzzEngineHeapOrder asserts the 4-ary arena heap pops events in
+// FuzzEngineHeapOrder asserts the lane-and-heap queue pops events in
 // exactly the (at, seq) order of the original container/heap engine,
-// under interleaved scheduling and cancellation from inside callbacks.
+// under interleaved scheduling, cancellation and timer rearming from
+// inside callbacks.
 func FuzzEngineHeapOrder(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{12, 3, 3, 3, 3, 1, 4, 2, 9, 7, 7, 0, 1, 1, 2, 2})
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Add([]byte{9, 4, 4, 4, 4, 4, 4, 4, 4, 4, 7, 4, 3, 1, 135, 4, 7, 4, 0, 2, 5, 4, 7, 4, 9, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got := driveScript(data, realAPI(NewEngine()))
 		want := driveScript(data, oracleAPI(&oracleEngine{}))
