@@ -51,6 +51,7 @@ func Suite() []Spec {
 		{Name: "FabricHop", Fn: FabricHop, Gated: true},
 		{Name: "PrestoGROFlush", Fn: PrestoGROFlush, Gated: true},
 		{Name: "PrestoGROReorderWindow", Fn: PrestoGROReorderWindow, Gated: true},
+		{Name: "PrestoGROIdleFlows", Fn: PrestoGROIdleFlows, Gated: true},
 		{Name: "TelemetryEmitRing", Fn: TelemetryEmitRing, Gated: true},
 		{Name: "TelemetrySnapshotDelta", Fn: TelemetrySnapshotDelta, Gated: true},
 		{Name: "ClusterEndToEnd", Fn: ClusterEndToEnd, Gated: false},
@@ -252,6 +253,50 @@ func PrestoGROReorderWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		window()
+	}
+}
+
+// PrestoGROIdleFlows measures one poll on a host with a long flow
+// history: the handler has already seen and drained 4096 flows, and
+// per op one of them delivers a 16-packet in-order batch, then Flush
+// runs. The flush walks only the flows holding segments, so the 4095
+// idle flows must cost nothing. The one allocation per op is the
+// delivered segment.
+func PrestoGROIdleFlows(b *testing.B) {
+	eng := sim.NewEngine()
+	g := gro.NewPresto(eng, devnull{}, gro.PrestoConfig{})
+	const history, batch = 4096, 16
+	for fl := 0; fl < history; fl++ {
+		flow := benchFlowTemplate
+		flow.Src.Port = uint16(4000 + fl)
+		g.Receive(benchPacket(flow, 0, 1))
+	}
+	g.Flush()
+	if g.HeldSegments() != 0 {
+		b.Fatalf("setup: %d segments held, want 0", g.HeldSegments())
+	}
+	pkts := make([]*packet.Packet, batch)
+	for i := range pkts {
+		pkts[i] = benchPacket(benchFlowTemplate, 0, 1)
+	}
+	seq := uint32(packet.MSS)
+	poll := func() {
+		for _, p := range pkts {
+			p.Seq = seq
+			seq += packet.MSS
+			g.Receive(p)
+		}
+		g.Flush()
+	}
+	poll() // grow the segment list and the active list to their steady size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		poll()
+	}
+	b.StopTimer()
+	if g.HeldSegments() != 0 {
+		b.Fatalf("%d segments held after in-order polls, want 0", g.HeldSegments())
 	}
 }
 

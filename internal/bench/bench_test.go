@@ -14,7 +14,8 @@ func BenchmarkPrestoGROReorderWindow(b *testing.B) {
 	Short = testing.Short()
 	PrestoGROReorderWindow(b)
 }
-func BenchmarkTelemetryEmitRing(b *testing.B) { Short = testing.Short(); TelemetryEmitRing(b) }
+func BenchmarkPrestoGROIdleFlows(b *testing.B) { Short = testing.Short(); PrestoGROIdleFlows(b) }
+func BenchmarkTelemetryEmitRing(b *testing.B)  { Short = testing.Short(); TelemetryEmitRing(b) }
 func BenchmarkTelemetrySnapshotDelta(b *testing.B) {
 	Short = testing.Short()
 	TelemetrySnapshotDelta(b)

@@ -69,6 +69,11 @@ type prestoFlow struct {
 	// original head-prepend + stable-sort produced.
 	segs []*packet.Segment
 
+	// idx is the flow's first-seen rank on this host; active reports
+	// whether the flow is in Presto.active.
+	idx    int
+	active bool
+
 	init         bool
 	lastFlowcell uint32 // flowcell of the most recent in-order byte
 	expSeq       uint32 // next expected in-order sequence number
@@ -130,15 +135,25 @@ func (f *prestoFlow) insertSeg(s *packet.Segment) {
 // flowcell: push immediately) from reordering (gap at a flowcell
 // boundary: hold briefly), and adapts its hold timeout to observed
 // reordering via an EWMA.
+//
+// Like the kernel's gro_list, active holds exactly the flows with a
+// non-empty segment list, in first-seen order, so the flush walks only
+// those. Idle flows keep their Algorithm 2 state in flows.
 type Presto struct {
 	Eng *sim.Engine
 	Out Output
 	cfg PrestoConfig
 
 	flows map[packet.FlowKey]*prestoFlow
-	order []packet.FlowKey
-	timer *sim.Timer
-	stats Stats
+	// active is sorted by idx. Receive inserts a flow; Flush drops the
+	// flows it drains. Receive never runs during Flush: the NIC's poll
+	// stages Flush's deliveries and hands them up only after the poll's
+	// CPU cost has elapsed; the CPU-less drain and the hold timer
+	// deliver straight to TCP, which only schedules events; and LRO
+	// feeds its inner handler before flushing it, never during.
+	active []*prestoFlow
+	timer  *sim.Timer
+	stats  Stats
 }
 
 // NewPresto returns a Presto GRO handler.
@@ -163,11 +178,13 @@ func (g *Presto) Receive(p *packet.Packet) {
 	g.stats.PacketsIn++
 	f, ok := g.flows[p.Flow]
 	if !ok {
-		f = &prestoFlow{}
+		f = &prestoFlow{idx: len(g.flows)}
 		f.ewma.Alpha = g.cfg.EWMAWeight
 		f.mdev.Alpha = g.cfg.EWMAWeight
 		g.flows[p.Flow] = f
-		g.order = append(g.order, p.Flow)
+	}
+	if !f.active {
+		g.activate(f)
 	}
 	// Scan merge candidates from the highest start sequence down: the
 	// common in-order packet extends the most recent (highest-seq)
@@ -191,20 +208,38 @@ func (g *Presto) Receive(p *packet.Packet) {
 	f.insertSeg(segFromPacket(p, now))
 }
 
+// activate inserts f into the active list by binary search on its
+// first-seen index. A new flow lands at the end; a returning idle flow
+// has an old index and can land anywhere.
+func (g *Presto) activate(f *prestoFlow) {
+	f.active = true
+	lo, hi := 0, len(g.active)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.active[mid].idx < f.idx {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	g.active = append(g.active, nil)
+	copy(g.active[lo+1:], g.active[lo:])
+	g.active[lo] = f
+}
+
 // Flush implements Handler: Algorithm 2's flush function, run at the
 // end of every poll event (and again from a timer while segments are
-// held).
+// held). It walks only the active list, so its cost follows the
+// batch, not the number of flows the host has ever seen, and drops the
+// flows it drains from the list in place.
 //
 //prestolint:noalloc
 func (g *Presto) Flush() {
 	now := g.Eng.Now()
 	var nextDeadline sim.Time = -1
 	held := false
-	for _, key := range g.order {
-		f := g.flows[key]
-		if f == nil || len(f.segs) == 0 {
-			continue
-		}
+	live := g.active[:0]
+	for _, f := range g.active {
 		// The list is maintained sorted by start sequence on arrival
 		// (insertSeg / the mergeHead bubble), so the walk needs no sort.
 		if !f.init {
@@ -279,8 +314,16 @@ func (g *Presto) Flush() {
 				g.stats.deliverData(g.Out, s, FlushStale, now)
 			}
 		}
+		clear(f.segs[len(kept):]) // delivered segments must not stay pinned
 		f.segs = kept
+		if len(kept) > 0 {
+			live = append(live, f)
+		} else {
+			f.active = false
+		}
 	}
+	clear(g.active[len(live):])
+	g.active = live
 	if held {
 		g.stats.ReorderHolds++
 		delay := nextDeadline - now
@@ -327,12 +370,10 @@ func (g *Presto) holdUntil(s *packet.Segment, e sim.Time) sim.Time {
 func (g *Presto) Stats() *Stats { return &g.stats }
 
 // HeldSegments returns the number of segments currently held across
-// flows (zero when no reordering is in flight). Ranging over the flows
-// map is safe here: += into a scalar is order-insensitive, so the
-// result does not depend on map iteration order.
+// flows (zero when no reordering is in flight).
 func (g *Presto) HeldSegments() int {
 	n := 0
-	for _, f := range g.flows {
+	for _, f := range g.active {
 		n += len(f.segs)
 	}
 	return n
