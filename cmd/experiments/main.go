@@ -157,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "artifacts written to %s (report.json, report.csv, manifest.json)\n", *outDir)
 	}
-	if err := obs.Export(sc.Telemetry, stderr); err != nil {
+	if err := obs.Export(sc.Telemetry, stderr, stderr); err != nil {
 		return fail("telemetry", err)
 	}
 

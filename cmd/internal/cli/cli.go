@@ -53,12 +53,16 @@ func (o *Observe) Registry() *telemetry.Registry {
 
 // Export writes reg's trace, event log and snapshot to the requested
 // files once the runs have finished; with -v the snapshot summary goes
-// to summary.
-func (o *Observe) Export(reg *telemetry.Registry, summary io.Writer) error {
+// to summary. When the tracer hit its event limit, one line on notes
+// says how many events the trace and event log are missing.
+func (o *Observe) Export(reg *telemetry.Registry, summary, notes io.Writer) error {
 	if reg == nil {
 		return nil
 	}
 	tr := reg.Tracer()
+	if n := tr.Dropped(); n > 0 {
+		fmt.Fprintf(notes, "note: trace truncated: %d events dropped past the %d-event limit\n", n, tr.Limit())
+	}
 	if o.Trace != "" {
 		if err := telemetry.WriteFile(o.Trace, tr.WriteChromeTrace); err != nil {
 			return fmt.Errorf("writing trace: %w", err)

@@ -6,7 +6,7 @@
 //
 // Each record carries ns/op, allocs/op, B/op, and any b.ReportMetric
 // extras. With -gate it additionally compares allocs/op against a
-// committed baseline (BENCH_4.json) and exits non-zero when a gated
+// committed baseline (BENCH_5.json) and exits non-zero when a gated
 // benchmark regressed by more than -gate-threshold-pct (default 20%) —
 // the CI bench-smoke job. ns/op is recorded for the trajectory but
 // never gated: shared CI runners make wall-time thresholds flaky,

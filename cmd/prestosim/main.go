@@ -112,7 +112,7 @@ func run(args []string, stdout io.Writer) error {
 	} else {
 		printRun(stdout, d, *seed, *duration, elapsed)
 	}
-	return obs.Export(reg, stdout)
+	return obs.Export(reg, stdout, os.Stderr)
 }
 
 // printRun prints one run in full.

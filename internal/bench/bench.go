@@ -5,16 +5,15 @@
 // BENCH_*.json artifacts the CI perf gate compares against.
 //
 // The headline benchmarks are allocation-gated: EngineScheduleRun,
-// EngineTieHeavy, FabricHop, PrestoGROFlush, and TelemetryEmitRing
-// must report 0 allocs/op in steady state (the event arena and delay
-// lanes, the fabric's packet rings and bound callbacks, the
-// sorted-insert GRO path, and the tracer's overwrite-in-place ring
-// exist to make that true), and the CI bench-smoke job fails on >20%
-// allocs/op regressions against the committed baseline.
+// EngineTieHeavy, FabricHop, PrestoGROFlush, and TelemetryEmit must
+// report 0 allocs/op in steady state (the event arena and delay lanes,
+// the fabric's packet rings and bound callbacks, the sorted-insert GRO
+// path, and the tracer's count-past-the-limit drop exist to make that
+// true), and the CI bench-smoke job fails on >20% allocs/op
+// regressions against the committed baseline.
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	presto "presto"
@@ -52,8 +51,7 @@ func Suite() []Spec {
 		{Name: "PrestoGROFlush", Fn: PrestoGROFlush, Gated: true},
 		{Name: "PrestoGROReorderWindow", Fn: PrestoGROReorderWindow, Gated: true},
 		{Name: "PrestoGROIdleFlows", Fn: PrestoGROIdleFlows, Gated: true},
-		{Name: "TelemetryEmitRing", Fn: TelemetryEmitRing, Gated: true},
-		{Name: "TelemetrySnapshotDelta", Fn: TelemetrySnapshotDelta, Gated: true},
+		{Name: "TelemetryEmit", Fn: TelemetryEmit, Gated: true},
 		{Name: "ClusterEndToEnd", Fn: ClusterEndToEnd, Gated: false},
 		{Name: "ShardedClusterEndToEnd", Fn: ShardedClusterEndToEnd, Gated: false},
 	}
@@ -300,14 +298,15 @@ func PrestoGROIdleFlows(b *testing.B) {
 	}
 }
 
-// TelemetryEmitRing measures Emit in ring mode past the wrap point:
-// the tracer overwrites the oldest slot in place, so the per-event
-// cost every traced component pays in a bounded-memory run must be
-// allocation-free in steady state.
-func TelemetryEmitRing(b *testing.B) {
+// TelemetryEmit measures Emit on a tracer whose buffer has reached its
+// event limit: a long traced run keeps emitting past the cap, and each
+// such event must be counted as dropped in place, without allocating
+// or growing the buffer.
+func TelemetryEmit(b *testing.B) {
+	const limit = 1024
 	tr := telemetry.NewTracer()
-	tr.SetRing(1024)
-	for i := 0; i < 2048; i++ {
+	tr.SetLimit(limit)
+	for i := 0; i < limit; i++ {
 		tr.FlowcellEmit(sim.Time(i), 1, uint32(i), i&7)
 	}
 	b.ReportAllocs()
@@ -315,28 +314,9 @@ func TelemetryEmitRing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.FlowcellEmit(sim.Time(i), 1, uint32(i), i&7)
 	}
-}
-
-// TelemetrySnapshotDelta measures one incremental-snapshot step over a
-// mostly-quiet registry: 16 static components plus one hot counter, so
-// each delta carries a single changed cell. This is the steady-state
-// cost of streaming live observability at a fixed cadence; allocations
-// here scale with probe count, not run length, and are gated.
-func TelemetrySnapshotDelta(b *testing.B) {
-	reg := telemetry.NewRegistry(nil)
-	for i := 0; i < 16; i++ {
-		static := map[string]any{"a": uint64(1), "b": uint64(2)}
-		reg.Register(fmt.Sprintf("comp%02d", i), func() map[string]any { return static })
-	}
-	var hot uint64
-	reg.Register("hot", func() map[string]any { return map[string]any{"n": hot} })
-	ss := reg.Stream(1 << 30) // steady state: no periodic keyframes
-	ss.Next(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hot++
-		ss.Next(sim.Time(i + 1))
+	b.StopTimer()
+	if got := tr.Dropped(); got != uint64(b.N) {
+		b.Fatalf("dropped %d events past the limit, want %d", got, b.N)
 	}
 }
 

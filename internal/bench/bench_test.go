@@ -15,12 +15,8 @@ func BenchmarkPrestoGROReorderWindow(b *testing.B) {
 	PrestoGROReorderWindow(b)
 }
 func BenchmarkPrestoGROIdleFlows(b *testing.B) { Short = testing.Short(); PrestoGROIdleFlows(b) }
-func BenchmarkTelemetryEmitRing(b *testing.B)  { Short = testing.Short(); TelemetryEmitRing(b) }
-func BenchmarkTelemetrySnapshotDelta(b *testing.B) {
-	Short = testing.Short()
-	TelemetrySnapshotDelta(b)
-}
-func BenchmarkClusterEndToEnd(b *testing.B) { Short = testing.Short(); ClusterEndToEnd(b) }
+func BenchmarkTelemetryEmit(b *testing.B)      { Short = testing.Short(); TelemetryEmit(b) }
+func BenchmarkClusterEndToEnd(b *testing.B)    { Short = testing.Short(); ClusterEndToEnd(b) }
 func BenchmarkShardedClusterEndToEnd(b *testing.B) {
 	Short = testing.Short()
 	ShardedClusterEndToEnd(b)

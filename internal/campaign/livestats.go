@@ -57,12 +57,9 @@ func (ls *LiveStats) observe(res Result) {
 			ls.dists[name] = sk
 			continue
 		}
-		// Dist.Sketch re-buckets to ls.alpha, so Merge succeeds; the
-		// fallback keeps a surprise mismatch from silently dropping a
-		// replica's samples.
-		if err := acc.Merge(sk); err != nil {
-			acc.Merge(sk.Rebucket(acc.Alpha()))
-		}
+		// Dist.Sketch builds at ls.alpha, the accumulator's alpha, so
+		// Merge cannot fail.
+		_ = acc.Merge(sk)
 	}
 }
 

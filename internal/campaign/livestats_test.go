@@ -102,38 +102,6 @@ func TestLiveStatsProbeRegistered(t *testing.T) {
 	}
 }
 
-// TestLiveStatsMixedAlphaReplicas: a replica whose Dist is
-// sketch-backed at a different alpha must still fold into the
-// accumulator (Dist.Sketch re-buckets to the accumulator's alpha)
-// instead of silently dropping its samples on a Merge error.
-func TestLiveStatsMixedAlphaReplicas(t *testing.T) {
-	ls := NewLiveStats(0.01)
-	raw := &metrics.Dist{}
-	for i := 1; i <= 100; i++ {
-		raw.Add(float64(i))
-	}
-	ls.observe(Result{Dists: map[string]*metrics.Dist{"fct_ms": raw}})
-
-	coarse := metrics.NewSketchDist(0.05) // mismatched backing alpha
-	for i := 1; i <= 100; i++ {
-		coarse.Add(float64(i))
-	}
-	ls.observe(Result{Dists: map[string]*metrics.Dist{"fct_ms": coarse}})
-
-	sk := ls.Sketch("fct_ms")
-	if sk.N() != 200 {
-		t.Fatalf("accumulated N = %d, want 200 (mismatched-alpha replica dropped)", sk.N())
-	}
-	if sk.Alpha() != 0.01 {
-		t.Fatalf("accumulator alpha drifted to %v", sk.Alpha())
-	}
-	// p50 of 200 samples drawn twice from 1..100 is ~50; allow the
-	// compounded re-bucketing error.
-	if p50 := sk.Quantile(0.5); p50 < 45 || p50 > 55 {
-		t.Fatalf("p50 = %v after mixed-alpha merge", p50)
-	}
-}
-
 func TestLiveStatsNilSafe(t *testing.T) {
 	var ls *LiveStats
 	ls.observe(Result{})

@@ -121,7 +121,7 @@ type Host struct {
 // Cluster is a running testbed.
 type Cluster struct {
 	// Eng is the single engine in serial mode; nil when sharded. Use
-	// Run/RunAll/Now/StopRun to drive the cluster in either mode.
+	// Run/RunAll/Now to drive the cluster in either mode.
 	Eng   *sim.Engine
 	Topo  *topo.Topology
 	Net   *fabric.Network
@@ -293,16 +293,6 @@ func (c *Cluster) Now() sim.Time {
 	return c.Eng.Now()
 }
 
-// StopRun halts the in-progress Run from any goroutine (at the next
-// window barrier when sharded).
-func (c *Cluster) StopRun() {
-	if c.group != nil {
-		c.group.Stop()
-		return
-	}
-	c.Eng.Stop()
-}
-
 // Executed returns the number of events executed across all engines.
 func (c *Cluster) Executed() uint64 {
 	if c.group != nil {
@@ -327,10 +317,6 @@ func (c *Cluster) resolveScheme() {
 	c.def, c.params = def, params
 	c.transport = def.TransportFor(params)
 }
-
-// SchemeInfo returns the resolved registry descriptor driving this
-// cluster.
-func (c *Cluster) SchemeInfo() *scheme.Scheme { return c.def }
 
 // groKind resolves the effective GRO algorithm.
 func (c *Cluster) groKind() GROKind {

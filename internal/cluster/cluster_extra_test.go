@@ -329,39 +329,3 @@ func TestGammaParallelLinks(t *testing.T) {
 		}
 	}
 }
-
-func TestHandshakeModeAddsRTTToMice(t *testing.T) {
-	run := func(handshake bool) sim.Time {
-		cfg := Config{Topology: clos(4, 4, 1), Scheme: Presto, Seed: 71}
-		cfg.TCP.Handshake = handshake
-		c := New(cfg)
-		conn := c.Dial(0, 2)
-		var fct sim.Time
-		conn.OnDelivered = func(total uint64) {
-			if total >= 50_000 {
-				conn.WriteReverse(100)
-			}
-		}
-		conn.OnReverseDelivered = func(total uint64) {
-			if total >= 100 && fct == 0 {
-				fct = c.Eng.Now()
-			}
-		}
-		conn.Write(50_000)
-		c.Eng.RunAll()
-		return fct
-	}
-	warm := run(false)
-	cold := run(true)
-	if warm == 0 || cold == 0 {
-		t.Fatal("mice never completed")
-	}
-	if cold <= warm {
-		t.Fatalf("handshake FCT %v <= warm %v", cold, warm)
-	}
-	// The cold start costs roughly one extra RTT (tens of us here),
-	// not an RTO.
-	if cold-warm > 5*sim.Millisecond {
-		t.Fatalf("handshake added %v — smells like a timeout", cold-warm)
-	}
-}

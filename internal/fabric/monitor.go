@@ -90,9 +90,6 @@ func (m *Monitor) tick() {
 	m.net.Eng.Schedule(m.interval, m.tick)
 }
 
-// Truncated reports whether any series hit the sample cap.
-func (m *Monitor) Truncated() bool { return m != nil && m.truncated }
-
 // Series returns the samples for one link direction (nil if none).
 func (m *Monitor) Series(link int, from int) []LinkSample {
 	if m == nil || link < 0 || link >= len(m.net.Topo.Links) {

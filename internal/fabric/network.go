@@ -29,10 +29,6 @@ type Config struct {
 	// milliseconds", §3.3). Until it elapses, traffic to the dead port
 	// is black-holed.
 	FailoverLatency sim.Time
-	// DisableFailover turns off backup-tree rewriting at switches
-	// (Presto leverages failover; plain ECMP fabrics may not). The
-	// zero value leaves failover enabled.
-	DisableFailover bool
 	// ECNThresholdBytes makes switch ports mark Congestion Experienced
 	// on packets that arrive to a queue deeper than this (DCTCP-style
 	// marking). Zero disables marking. Host access pipes never mark.
@@ -353,21 +349,10 @@ func (n *Network) checkQuiescent(op string) {
 // now so the check is shard-local.
 func (n *Network) failoverActive(id topo.LinkID, now sim.Time) bool {
 	since := n.downSince[id]
-	if since == linkUp || n.cfg.DisableFailover {
+	if since == linkUp {
 		return false
 	}
 	return now >= since+n.cfg.FailoverLatency
-}
-
-// DownLinks returns the currently failed links, sorted by link ID.
-func (n *Network) DownLinks() []topo.LinkID {
-	var out []topo.LinkID
-	for id, since := range n.downSince {
-		if since != linkUp {
-			out = append(out, topo.LinkID(id))
-		}
-	}
-	return out
 }
 
 // LossRate returns queue-overflow drops as a fraction of packets

@@ -52,9 +52,6 @@ type Pipe struct {
 	MaxQueuedBytes int
 }
 
-// Up reports whether the pipe's link is up.
-func (p *Pipe) Up() bool { return !p.down }
-
 // QueuedBytes returns the wire bytes waiting in the queue.
 func (p *Pipe) QueuedBytes() int { return p.queuedWire }
 

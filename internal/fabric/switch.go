@@ -49,9 +49,6 @@ func (s *Switch) InstallLabel(label packet.MAC, egress topo.LinkID) {
 	s.labelTable[label] = egress
 }
 
-// RemoveLabel deletes a label entry.
-func (s *Switch) RemoveLabel(label packet.MAC) { delete(s.labelTable, label) }
-
 // SetNumTrees tells the switch how many trees exist (for backup-tree
 // rewriting).
 func (s *Switch) SetNumTrees(n int) { s.numTrees = n }
@@ -236,16 +233,6 @@ func pickECMP(n *Network, candidates []topo.LinkID, p *packet.Packet, now sim.Ti
 // or down but not yet pruned by the failover rule.
 func (n *Network) ecmpMember(id topo.LinkID, now sim.Time) bool {
 	return n.LinkUp(id) || !n.failoverActive(id, now)
-}
-
-// upLinkTo returns a live link from this spine to the given leaf.
-func (s *Switch) upLinkTo(leaf topo.NodeID) (topo.LinkID, bool) {
-	for _, lid := range s.net.Topo.SpineLeafLinks(s.node.ID, leaf) {
-		if s.net.LinkUp(lid) {
-			return lid, true
-		}
-	}
-	return 0, false
 }
 
 func (s *Switch) enqueue(lid topo.LinkID, p *packet.Packet) {

@@ -1,9 +1,8 @@
 // Quantile sketches: a DDSketch-style mergeable summary with
-// relative-error-bounded quantiles in O(buckets) memory, the
-// bounded-memory backend behind Dist's sketch mode. At the paper's
-// million-flow scale the raw-sample Dist dominates observability
-// memory; the sketch replaces O(samples) storage with a few hundred
-// logarithmic buckets while keeping every quantile within a
+// relative-error-bounded quantiles in O(buckets) memory. Dist.Sketch
+// derives one from raw samples; campaign reports and live stats merge
+// them across replicas, replacing O(samples) storage with a few
+// hundred logarithmic buckets while keeping every quantile within a
 // guaranteed relative error of the exact answer.
 package metrics
 

@@ -60,9 +60,6 @@ type Config struct {
 	CoalesceCount int      // interrupt after this many packets...
 	CoalesceDelay sim.Time // ...or this long after the first one
 	CPU           CPUConfig
-	// DisableCPUModel makes receive processing free and instantaneous
-	// (for microbenchmarks isolating protocol behaviour).
-	DisableCPUModel bool
 }
 
 // DefaultConfig returns 10 GbE-like settings.
@@ -303,14 +300,6 @@ func (n *NIC) HandlePacket(p *packet.Packet) {
 		n.Stats.MaxRing = n.ring.Len()
 	}
 	n.Stats.RxPackets++
-	if n.cfg.DisableCPUModel {
-		if !n.busy {
-			n.busy = true
-			// Drain synchronously but still batch per event loop turn.
-			n.eng.Schedule(0, n.pollFree)
-		}
-		return
-	}
 	if n.busy || n.intArmed {
 		if n.intArmed && n.ring.Len() >= n.cfg.CoalesceCount {
 			n.intTimer.Stop()
@@ -348,20 +337,6 @@ func (n *NIC) releaseBatch() {
 		n.batch[i] = nil
 	}
 	n.batch = n.batch[:0]
-}
-
-// pollFree is the no-CPU-model drain path.
-func (n *NIC) pollFree() {
-	for n.ring.Len() > 0 {
-		batch := n.takeBatch(n.ring.Len())
-		n.Stats.Polls++
-		for _, p := range batch {
-			n.gro.Receive(p)
-		}
-		n.gro.Flush()
-		n.releaseBatch()
-	}
-	n.busy = false
 }
 
 // interrupt starts a poll if the CPU is free.

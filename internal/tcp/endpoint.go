@@ -12,7 +12,6 @@
 package tcp
 
 import (
-	"fmt"
 	"sort"
 
 	"presto/internal/packet"
@@ -37,10 +36,6 @@ type Config struct {
 	DupAckThresh int      // classic 3
 	FACK         bool     // tcp_fack=1 (§4): infer loss from SACK holes
 	CC           string   // "cubic" (default), "reno", or "dctcp"
-	// Handshake requires a SYN/SYN-ACK exchange before data flows
-	// (default off: the paper's experiments use pre-established
-	// long-lived connections).
-	Handshake bool
 	// ISS is the initial sequence number (default 1). Set near 2^32 to
 	// exercise wraparound end to end.
 	ISS uint32
@@ -162,12 +157,6 @@ type Endpoint struct {
 	lastEchoTot  uint64
 	dctcpWindEnd uint32
 
-	// Connection lifecycle (handshake.go).
-	hs         handshakeState
-	hsSentAt   sim.Time
-	finSent    bool
-	onShutdown func()
-
 	// Probe marks all outgoing segments as latency probes (sockperf
 	// style), which bypass GRO merging.
 	Probe bool
@@ -207,9 +196,6 @@ func New(eng *sim.Engine, flow packet.FlowKey, down Downstream, cfg Config) *End
 	e.rtoTimer = sim.NewTimer(eng, e.onRTO)
 	e.probeTimer = sim.NewTimer(eng, e.onProbeTimeout)
 	e.dctcp = cfg.CC == "dctcp"
-	if cfg.Handshake {
-		e.hs = hsIdle
-	}
 	return e
 }
 
@@ -291,15 +277,6 @@ func (e *Endpoint) inflight() int {
 
 // trySend transmits new data while the window allows.
 func (e *Endpoint) trySend() {
-	switch e.hs {
-	case hsIdle:
-		// First send in handshake mode: open the connection instead.
-		e.hsSentAt = e.eng.Now()
-		e.sendSYN()
-		return
-	case hsSynSent:
-		return // data queues until the SYN-ACK arrives
-	}
 	for {
 		var remaining int
 		if e.unlimited {
@@ -389,19 +366,11 @@ func (e *Endpoint) sendAck() {
 // DeliverSegment is the receive entry point: GRO (or the host stack)
 // pushes segments of the reverse flow here.
 func (e *Endpoint) DeliverSegment(s *packet.Segment) {
-	if s.Flags.Has(packet.FlagSYN) {
-		if e.handleHandshake(s) {
-			return
-		}
-	}
 	if s.Len() > 0 {
 		e.receiveData(s)
 	}
 	if s.Flags.Has(packet.FlagACK) {
 		e.processAck(s)
-	}
-	if s.Flags.Has(packet.FlagFIN) {
-		e.handleFIN(s)
 	}
 }
 
@@ -487,7 +456,6 @@ func (e *Endpoint) processAck(s *packet.Segment) {
 		if e.OnAcked != nil {
 			e.OnAcked(e.Stats.BytesAcked)
 		}
-		e.maybeFIN()
 		if e.sndUna == e.sndNxt {
 			e.rtoTimer.Stop()
 			e.probeTimer.Stop()
@@ -609,15 +577,6 @@ func (e *Endpoint) retransmitHole() {
 }
 
 func (e *Endpoint) onRTO() {
-	if e.hs == hsSynSent {
-		// Lost SYN: resend with backoff.
-		e.Stats.Timeouts++
-		if e.backoff < 12 {
-			e.backoff++
-		}
-		e.sendSYN()
-		return
-	}
 	if e.sndUna == e.sndNxt {
 		return
 	}
@@ -753,10 +712,6 @@ func (e *Endpoint) clampCwnd() {
 	}
 }
 
-// FlowcellLog returns the recorded flowcell IDs of received data
-// segments (RecordFlowcells must be set).
-func (e *Endpoint) FlowcellLog() []uint32 { return e.fcLog }
-
 // ResetFlowcellLog clears the recorded log (e.g. to exclude warmup
 // from an out-of-order analysis).
 func (e *Endpoint) ResetFlowcellLog() { e.fcLog = e.fcLog[:0] }
@@ -793,10 +748,4 @@ func (e *Endpoint) OutOfOrderCounts() []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// DebugDCTCP summarizes ECN state for tests.
-func (e *Endpoint) DebugDCTCP() string {
-	return fmt.Sprintf("dctcp=%v alpha=%.3f lastEchoCE=%d lastEchoTot=%d rcvCE=%d rcvTot=%d cwnd=%.0f",
-		e.dctcp, e.dctcpAlpha, e.lastEchoCE, e.lastEchoTot, e.rcvCEPkts, e.rcvTotalPkts, e.cwnd)
 }

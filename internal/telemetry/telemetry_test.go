@@ -82,6 +82,34 @@ func TestTracerLimit(t *testing.T) {
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped=%d, want 3", tr.Dropped())
 	}
+	if tr.Limit() != 2 {
+		t.Fatalf("Limit()=%d, want 2", tr.Limit())
+	}
+}
+
+// TestTracerEmitAllocs pins the bounded-memory guarantee: once the
+// buffer holds the limit, every further emit is counted as dropped in
+// place, with zero allocations and the buffered events left as they
+// were.
+func TestTracerEmitAllocs(t *testing.T) {
+	tr := NewTracer()
+	tr.SetLimit(64)
+	for i := 0; i < 64; i++ {
+		tr.GROFlush(sim.Time(i), 2, 1500, 1, "in-order")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.GROFlush(1000, 2, 1500, 1, "in-order")
+	})
+	if allocs != 0 {
+		t.Fatalf("emit past the limit allocates %v per op, want 0", allocs)
+	}
+	evs := tr.Events()
+	if len(evs) != 64 || evs[63].At != 63 {
+		t.Fatalf("buffer changed past the limit: %d events, last at %d", len(evs), evs[len(evs)-1].At)
+	}
+	if tr.Dropped() < 1000 {
+		t.Fatalf("dropped=%d, want every emit past the limit counted", tr.Dropped())
+	}
 }
 
 func TestBeginRunScoping(t *testing.T) {

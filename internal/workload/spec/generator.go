@@ -82,50 +82,6 @@ func clientStream(runSeed, specSeed uint64, idx int, id string) *sim.RNG {
 	return sim.NewRNG(mixed)
 }
 
-// serverCount counts server hosts, excluding spine-attached and
-// marked-remote (north-south) endpoints.
-func serverCount(c *cluster.Cluster) int {
-	n := 0
-	for i := 0; i < c.Topo.NumHosts(); i++ {
-		h := packet.HostID(i)
-		if !c.Topo.SpineAttached(h) && !c.Topo.IsRemote(h) {
-			n++
-		}
-	}
-	return n
-}
-
-// crossPod reports whether (src, dst) is a valid cross-pod pair,
-// degenerating to src != dst on single-leaf topologies (mirrors
-// workload.crossPod).
-func crossPod(c *cluster.Cluster, src, dst packet.HostID) bool {
-	if src == dst {
-		return false
-	}
-	if len(c.Topo.Leaves) < 2 {
-		return true
-	}
-	return !c.Topo.SameLeaf(src, dst)
-}
-
-// randomCrossPodDst draws a cross-pod destination with a bounded draw
-// loop and deterministic fallback scan; ok=false when none exists.
-func randomCrossPodDst(c *cluster.Cluster, rng *sim.RNG, src packet.HostID, n int) (packet.HostID, bool) {
-	const maxDraws = 200
-	for attempt := 0; attempt < maxDraws; attempt++ {
-		d := packet.HostID(rng.Intn(n))
-		if crossPod(c, src, d) {
-			return d, true
-		}
-	}
-	for d := 0; d < n; d++ {
-		if crossPod(c, src, packet.HostID(d)) {
-			return packet.HostID(d), true
-		}
-	}
-	return 0, false
-}
-
 // Compile binds a validated spec to a cluster, running the
 // topology-dependent checks Validate cannot (host IDs in range,
 // remotes present for north-south, incast fan-in vs fabric size) and
@@ -135,7 +91,7 @@ func Compile(ws *Spec, c *cluster.Cluster, seed uint64) (*Generator, error) {
 	if err := ws.Validate(); err != nil {
 		return nil, err
 	}
-	n := serverCount(c)
+	n := workload.ServerCount(c)
 	if n < 2 {
 		return nil, fmt.Errorf("workload %q: topology has %d servers; need >= 2", ws.Name, n)
 	}
@@ -200,7 +156,7 @@ func compileSelect(cr *clientRun, c *cluster.Cluster, n int, path string) error 
 			return fmt.Errorf("%s.select.stride: stride %d yields no pairs on %d servers", path, sel.Stride, n)
 		}
 	case SelBijection:
-		perm := crossPodPermutation(c, cr.rng, n)
+		perm := workload.CrossPodPermutation(c, cr.rng, n)
 		for i, d := range perm {
 			if i == d {
 				continue
@@ -230,55 +186,6 @@ func compileSelect(cr *clientRun, c *cluster.Cluster, n int, path string) error 
 		}
 	}
 	return nil
-}
-
-// crossPodPermutation draws permutations until one is fully cross-pod,
-// falling back to a deterministic rotation (mirrors the workload
-// package's bounded search).
-func crossPodPermutation(c *cluster.Cluster, rng *sim.RNG, n int) []int {
-	for attempt := 0; attempt < 200; attempt++ {
-		p := rng.Perm(n)
-		ok := true
-		for i, d := range p {
-			if !crossPod(c, packet.HostID(i), packet.HostID(d)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return p
-		}
-	}
-	rotation := func(k int) []int {
-		p := make([]int, n)
-		for i := range p {
-			p[i] = (i + k) % n
-		}
-		return p
-	}
-	allCrossPod := func(p []int) bool {
-		for i, d := range p {
-			if !crossPod(c, packet.HostID(i), packet.HostID(d)) {
-				return false
-			}
-		}
-		return true
-	}
-	if n <= 1 {
-		return make([]int, n)
-	}
-	if p := rotation(n / 2); allCrossPod(p) {
-		return p
-	}
-	for k := 1; k < n; k++ {
-		if k == n/2 {
-			continue
-		}
-		if p := rotation(k); allCrossPod(p) {
-			return p
-		}
-	}
-	return rotation(1)
 }
 
 // resolveTrace loads and bounds-checks a trace source.
@@ -397,14 +304,14 @@ func (g *Generator) runArrivals(cr *clientRun, stop sim.Time) {
 // arrive opens the flows for one arrival event per the client's
 // selection policy.
 func (g *Generator) arrive(cr *clientRun) {
-	n := serverCount(g.c)
+	n := workload.ServerCount(g.c)
 	switch cr.cfg.Select.Kind {
 	case SelPairs, SelStride, SelBijection:
 		p := cr.pairs[cr.rng.Intn(len(cr.pairs))]
 		g.openFlow(cr, p[0], p[1], sampleSize(&cr.cfg.Size, cr.rng))
 	case SelRandom:
 		src := packet.HostID(cr.rng.Intn(n))
-		if dst, ok := randomCrossPodDst(g.c, cr.rng, src, n); ok {
+		if dst, ok := workload.RandomCrossPodDst(g.c, cr.rng, src, n); ok {
 			g.openFlow(cr, src, dst, sampleSize(&cr.cfg.Size, cr.rng))
 		}
 	case SelIncast:

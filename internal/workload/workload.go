@@ -86,7 +86,7 @@ func startElephants(c *cluster.Cluster, pairs [][2]packet.HostID) *Elephants {
 // Stride starts the stride(k) workload: server[i] sends to
 // server[(i+k) mod N] (§4).
 func Stride(c *cluster.Cluster, k int) *Elephants {
-	n := serverCount(c)
+	n := ServerCount(c)
 	pairs := make([][2]packet.HostID, 0, n)
 	for i := 0; i < n; i++ {
 		pairs = append(pairs, [2]packet.HostID{packet.HostID(i), packet.HostID((i + k) % n)})
@@ -98,8 +98,8 @@ func Stride(c *cluster.Cluster, k int) *Elephants {
 // permutation where every server sends to one cross-pod destination
 // and receives from exactly one sender.
 func RandomBijection(c *cluster.Cluster, rng *sim.RNG) *Elephants {
-	n := serverCount(c)
-	perm := crossPodPermutation(c, rng, n)
+	n := ServerCount(c)
+	perm := CrossPodPermutation(c, rng, n)
 	pairs := make([][2]packet.HostID, 0, n)
 	for i, d := range perm {
 		if i == d {
@@ -112,11 +112,11 @@ func RandomBijection(c *cluster.Cluster, rng *sim.RNG) *Elephants {
 	return startElephants(c, pairs)
 }
 
-// crossPod reports whether (src, dst) is a valid cross-pod pair. On a
+// CrossPod reports whether (src, dst) is a valid cross-pod pair. On a
 // single-switch topology every host shares the "pod", so the
 // constraint degenerates to src != dst (otherwise the Optimal baseline
 // could never run the random workloads).
-func crossPod(c *cluster.Cluster, src, dst packet.HostID) bool {
+func CrossPod(c *cluster.Cluster, src, dst packet.HostID) bool {
 	if src == dst {
 		return false
 	}
@@ -131,32 +131,32 @@ func crossPod(c *cluster.Cluster, src, dst packet.HostID) bool {
 // cross-pod destination (degenerate topologies) are skipped rather
 // than retried forever.
 func Random(c *cluster.Cluster, rng *sim.RNG) *Elephants {
-	n := serverCount(c)
+	n := ServerCount(c)
 	pairs := make([][2]packet.HostID, 0, n)
 	for i := 0; i < n; i++ {
-		if d, ok := randomCrossPodDst(c, rng, packet.HostID(i), n); ok {
+		if d, ok := RandomCrossPodDst(c, rng, packet.HostID(i), n); ok {
 			pairs = append(pairs, [2]packet.HostID{packet.HostID(i), d})
 		}
 	}
 	return startElephants(c, pairs)
 }
 
-// randomCrossPodDst draws a cross-pod destination for src. The draw
+// RandomCrossPodDst draws a cross-pod destination for src. The draw
 // loop is bounded: after maxDraws rejections it falls back to a
 // deterministic scan for the first valid destination, and reports
 // ok=false when the topology offers none at all (e.g. every other
 // host shares src's leaf) — the caller must not retry, or a degenerate
 // topology would hang the campaign runner.
-func randomCrossPodDst(c *cluster.Cluster, rng *sim.RNG, src packet.HostID, n int) (packet.HostID, bool) {
+func RandomCrossPodDst(c *cluster.Cluster, rng *sim.RNG, src packet.HostID, n int) (packet.HostID, bool) {
 	const maxDraws = 200
 	for attempt := 0; attempt < maxDraws; attempt++ {
 		d := packet.HostID(rng.Intn(n))
-		if crossPod(c, src, d) {
+		if CrossPod(c, src, d) {
 			return d, true
 		}
 	}
 	for d := 0; d < n; d++ {
-		if crossPod(c, src, packet.HostID(d)) {
+		if CrossPod(c, src, packet.HostID(d)) {
 			return packet.HostID(d), true
 		}
 	}
@@ -166,7 +166,7 @@ func randomCrossPodDst(c *cluster.Cluster, rng *sim.RNG, src packet.HostID, n in
 // PairsN starts n one-to-one elephant pairs: host i on the first leaf
 // to host i on the second (the Figure 4a/4b benchmarks).
 func PairsN(c *cluster.Cluster, n int) *Elephants {
-	half := serverCount(c) / 2
+	half := ServerCount(c) / 2
 	pairs := make([][2]packet.HostID, 0, n)
 	for i := 0; i < n; i++ {
 		pairs = append(pairs, [2]packet.HostID{packet.HostID(i % half), packet.HostID(half + i%half)})
@@ -174,18 +174,18 @@ func PairsN(c *cluster.Cluster, n int) *Elephants {
 	return startElephants(c, pairs)
 }
 
-// crossPodPermutation draws random permutations until it finds one
+// CrossPodPermutation draws random permutations until it finds one
 // with no fixed points or same-leaf assignments. The draw loop is
 // bounded, and the fallback is a deterministic derangement, so even a
 // topology where the constraint is unsatisfiable (≤2 pods, or all
 // servers on one leaf) terminates instead of hanging the campaign
 // runner.
-func crossPodPermutation(c *cluster.Cluster, rng *sim.RNG, n int) []int {
+func CrossPodPermutation(c *cluster.Cluster, rng *sim.RNG, n int) []int {
 	for attempt := 0; attempt < 200; attempt++ {
 		p := rng.Perm(n)
 		ok := true
 		for i, d := range p {
-			if !crossPod(c, packet.HostID(i), packet.HostID(d)) {
+			if !CrossPod(c, packet.HostID(i), packet.HostID(d)) {
 				ok = false
 				break
 			}
@@ -214,7 +214,7 @@ func fallbackDerangement(c *cluster.Cluster, n int) []int {
 	}
 	allCrossPod := func(p []int) bool {
 		for i, d := range p {
-			if !crossPod(c, packet.HostID(i), packet.HostID(d)) {
+			if !CrossPod(c, packet.HostID(i), packet.HostID(d)) {
 				return false
 			}
 		}
@@ -237,9 +237,9 @@ func fallbackDerangement(c *cluster.Cluster, n int) []int {
 	return rotation(1)
 }
 
-// serverCount returns the number of server hosts, excluding marked
+// ServerCount returns the number of server hosts, excluding marked
 // remote users (north-south endpoints, wherever they attach).
-func serverCount(c *cluster.Cluster) int {
+func ServerCount(c *cluster.Cluster) int {
 	n := 0
 	for i := 0; i < c.Topo.NumHosts(); i++ {
 		h := packet.HostID(i)
@@ -264,7 +264,7 @@ type Shuffle struct {
 
 // StartShuffle launches the shuffle workload and returns a tracker.
 func StartShuffle(c *cluster.Cluster, rng *sim.RNG, sizePerPeer int) *Shuffle {
-	n := serverCount(c)
+	n := ServerCount(c)
 	var moved uint64
 	done := 0
 	total := 0
@@ -449,7 +449,7 @@ type TraceResult struct {
 // connection (§6, scaled ×10).
 func StartTrace(c *cluster.Cluster, rng *sim.RNG, meanInterarrival sim.Time, scale float64, until sim.Time) *TraceResult {
 	res := &TraceResult{}
-	n := serverCount(c)
+	n := ServerCount(c)
 	sizes := NewFlowSizeDist(rng.Fork(), scale)
 	for i := 0; i < n; i++ {
 		src := packet.HostID(i)
@@ -459,7 +459,7 @@ func StartTrace(c *cluster.Cluster, rng *sim.RNG, meanInterarrival sim.Time, sca
 			if c.Eng.Now() >= until {
 				return
 			}
-			dst, ok := randomCrossPodDst(c, r, src, n)
+			dst, ok := RandomCrossPodDst(c, r, src, n)
 			if !ok {
 				return // no valid destination exists; stop this generator
 			}
@@ -496,7 +496,7 @@ func StartTrace(c *cluster.Cluster, rng *sim.RNG, meanInterarrival sim.Time, sca
 // given interval, flow sizes drawn from a web-like distribution
 // (log-normal, median ~20 KB).
 func StartNorthSouth(c *cluster.Cluster, rng *sim.RNG, remotes []packet.HostID, interval sim.Time, until sim.Time) {
-	n := serverCount(c)
+	n := ServerCount(c)
 	for i := 0; i < n; i++ {
 		src := packet.HostID(i)
 		r := rng.Fork()

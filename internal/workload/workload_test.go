@@ -244,8 +244,8 @@ func TestCrossPodPermutationDerangementFallback(t *testing.T) {
 	top.AddLeafHost(top.Leaves[0], 10_000_000_000, 0) // host 2 joins leaf 0
 	c := cluster.New(cluster.Config{Topology: top, Scheme: cluster.Presto, Seed: 11})
 
-	p := crossPodPermutation(c, c.RNG(), 3)
-	q := crossPodPermutation(c, c.RNG(), 3)
+	p := CrossPodPermutation(c, c.RNG(), 3)
+	q := CrossPodPermutation(c, c.RNG(), 3)
 	for i := range p {
 		if p[i] == i {
 			t.Fatalf("fallback permutation %v has a fixed point at %d", p, i)

@@ -1,12 +1,8 @@
 package presto
 
 import (
-	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"presto/internal/cluster"
@@ -80,74 +76,32 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestTelemetryBoundedModesDoNotPerturbResults extends the
-// determinism regression to the bounded-memory paths: a small
-// ring-buffer tracer spilling compressed JSONL to disk must leave
-// every workload metric bit-identical to an untraced run.
-func TestTelemetryBoundedModesDoNotPerturbResults(t *testing.T) {
+// TestTelemetryEventLimitDoesNotPerturbResults extends the
+// determinism regression to a tracer that hits its event limit: a
+// run whose later events are counted as dropped must leave every
+// workload metric bit-identical to an untraced run.
+func TestTelemetryEventLimitDoesNotPerturbResults(t *testing.T) {
 	plain := RunWorkload(SysPresto, Stride, shortOpt(nil))
 
 	tr := telemetry.NewTracer()
-	tr.SetRing(512)
-	spillPath := filepath.Join(t.TempDir(), "trace.jsonl.gz")
-	if err := tr.SpillTo(spillPath); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry(tr)
-	traced := RunWorkload(SysPresto, Stride, shortOpt(reg))
-	if err := tr.CloseSpill(); err != nil {
-		t.Fatal(err)
-	}
+	tr.SetLimit(512)
+	traced := RunWorkload(SysPresto, Stride, shortOpt(telemetry.NewRegistry(tr)))
 
 	sameLoadResult(t, plain, traced)
-
-	if err := tr.SpillError(); err != nil {
-		t.Fatalf("spill sink failed: %v", err)
+	if len(tr.Events()) != 512 {
+		t.Errorf("buffered %d events, want the limit of 512", len(tr.Events()))
 	}
-	if tr.Spilled() == 0 {
-		t.Fatal("a 512-slot ring over a full run spilled nothing")
-	}
-	if tr.Overwritten() != 0 {
-		t.Errorf("spill mode overwrote %d events; spill should preempt the ring", tr.Overwritten())
-	}
-	// The spill file alone is the complete trace: gzip JSONL, one
-	// event per line, Spilled() lines in total.
-	f, err := os.Open(spillPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(gz)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var lines uint64
-	for sc.Scan() {
-		var ev map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("spill line %d is not JSON: %v", lines, err)
-		}
-		lines++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if lines != tr.Spilled() {
-		t.Errorf("spill file has %d events, tracer spilled %d", lines, tr.Spilled())
-	}
-	if len(tr.Events()) != 0 {
-		t.Errorf("CloseSpill left %d events buffered", len(tr.Events()))
+	if tr.Dropped() == 0 {
+		t.Fatal("a 512-event limit over a full run dropped nothing")
 	}
 }
 
-// TestIncrementalSnapshotsDoNotPerturbRun drives the same seeded
-// cluster twice — once plain, once with an incremental snapshot
-// stream sampled between engine chunks — and checks the switch-level
-// counters stay bit-identical while the reassembled decoder state
-// matches a full snapshot taken at the end.
-func TestIncrementalSnapshotsDoNotPerturbRun(t *testing.T) {
+// TestMidRunSnapshotsDoNotPerturbRun drives the same seeded cluster
+// twice — once plain, once snapshotting the registry between engine
+// chunks — and checks the per-host counters stay bit-identical and
+// that snapshotting has no side effect: the last mid-run snapshot
+// equals a second one taken at the same instant.
+func TestMidRunSnapshotsDoNotPerturbRun(t *testing.T) {
 	const horizon = 30 * sim.Millisecond
 
 	ref := cluster.New(cluster.Config{
@@ -166,22 +120,10 @@ func TestIncrementalSnapshotsDoNotPerturbRun(t *testing.T) {
 		Telemetry: reg,
 	})
 	workload.Stride(c, 8)
-	ss := reg.Stream(4)
-	dec := telemetry.NewStreamDecoder()
-	var deltas, keyframes int
+	var last *telemetry.Snapshot
 	for until := 2 * sim.Millisecond; until <= horizon; until += 2 * sim.Millisecond {
 		c.Eng.Run(until)
-		d := ss.Next(c.Eng.Now())
-		if err := dec.Apply(d); err != nil {
-			t.Fatalf("delta %d: %v", deltas, err)
-		}
-		deltas++
-		if d.Keyframe {
-			keyframes++
-		}
-	}
-	if keyframes < 2 {
-		t.Fatalf("expected periodic keyframes over %d deltas, got %d", deltas, keyframes)
+		last = reg.Snapshot(c.Eng.Now())
 	}
 
 	for i, h := range ref.Hosts {
@@ -195,13 +137,12 @@ func TestIncrementalSnapshotsDoNotPerturbRun(t *testing.T) {
 		}
 	}
 
-	// The incrementally reassembled state equals a full snapshot taken
-	// at the same instant (both sides normalized through JSON so Go
-	// integer widths don't matter).
-	wantNorm := normalizeJSON(t, reg.Snapshot(c.Eng.Now()).Flat())
-	gotNorm := normalizeJSON(t, dec.State())
+	// Both sides normalized through JSON so Go integer widths don't
+	// matter.
+	wantNorm := normalizeJSON(t, reg.Snapshot(c.Eng.Now()).Components)
+	gotNorm := normalizeJSON(t, last.Components)
 	if !bytes.Equal(wantNorm, gotNorm) {
-		t.Errorf("decoder state != full snapshot\n got: %.400s\nwant: %.400s", gotNorm, wantNorm)
+		t.Errorf("repeated snapshot differs\n got: %.400s\nwant: %.400s", gotNorm, wantNorm)
 	}
 }
 
